@@ -163,7 +163,7 @@ pub fn write_request_v1(
 
 /// Stack window for decoding key strings: real `<protocol, method>` names
 /// are short, so steady-state decode never touches the heap; a longer name
-/// spills to a one-off heap read.
+/// spills to a heap read, staged through this window one chunk at a time.
 const KEY_STACK: usize = 192;
 
 /// Read one Hadoop `Text` string into the caller's buffers and hand back a
@@ -181,13 +181,21 @@ fn read_key_text<'a>(
         ));
     }
     let len = len as usize;
-    let bytes: &mut [u8] = if len <= KEY_STACK {
-        &mut stack[..len]
+    let bytes: &[u8] = if len <= KEY_STACK {
+        input.read_bytes(&mut stack[..len])?;
+        &stack[..len]
     } else {
-        heap.resize(len, 0);
-        &mut heap[..]
+        // The length is the peer's claim, not a fact: the heap copy only
+        // grows by chunks that actually arrived, so a forged length
+        // costs what the peer sent, not what it claimed.
+        heap.clear();
+        while heap.len() < len {
+            let chunk = &mut stack[..(len - heap.len()).min(KEY_STACK)];
+            input.read_bytes(chunk)?;
+            heap.extend_from_slice(chunk);
+        }
+        heap
     };
-    input.read_bytes(bytes)?;
     std::str::from_utf8(bytes)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad utf8: {e}")))
 }
@@ -756,6 +764,30 @@ impl Read for PayloadReader<'_> {
 mod tests {
     use super::*;
     use wire::{IntWritable, Text};
+
+    #[test]
+    fn forged_key_length_allocates_only_what_arrived() {
+        // A header claiming a ~2 GiB name with 3 bytes behind it must
+        // fail on the missing bytes without reserving the claimed size.
+        let mut buf: Vec<u8> = Vec::new();
+        buf.write_vint(i32::MAX).unwrap();
+        buf.extend_from_slice(b"abc");
+        let (mut stack, mut heap) = ([0u8; KEY_STACK], Vec::new());
+        assert!(read_key_text(&mut buf.as_slice(), &mut stack, &mut heap).is_err());
+        assert!(
+            heap.capacity() < KEY_STACK,
+            "heap grew to {} bytes for 3 received",
+            heap.capacity()
+        );
+        // A genuine long name still decodes through the chunked path.
+        let name = "p".repeat(3 * KEY_STACK + 7);
+        let mut buf: Vec<u8> = Vec::new();
+        buf.write_string(&name).unwrap();
+        assert_eq!(
+            read_key_text(&mut buf.as_slice(), &mut stack, &mut heap).unwrap(),
+            name
+        );
+    }
 
     #[test]
     fn v2_request_roundtrip() {

@@ -85,7 +85,7 @@ pub mod transport;
 
 pub use admission::{AdmissionQueue, AdmitError, CallClass, CallMeta, Popped};
 pub use client::{Client, RawResponse};
-pub use config::{HandlerRuntime, RpcConfig};
+pub use config::RpcConfig;
 pub use error::{RpcError, RpcResult};
 pub use frame::{FrameVersion, Payload, ResponseStatus, V3Decoder, V3Encoder};
 pub use intern::{MethodId, MethodKey};

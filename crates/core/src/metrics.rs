@@ -390,9 +390,9 @@ pub enum ShardRole {
     Reader,
     /// A shard transmitting serialized responses for its connections.
     Responder,
-    /// An M:N handler-runtime worker (`handler_runtime = mn`): pops the
-    /// admission queue, runs lightweight call tasks, steals from
-    /// siblings. Absent in `threads` mode.
+    /// A handler worker of the M:N runtime: pops the admission queue,
+    /// polls each popped call in place, runs suspended call tasks,
+    /// steals from siblings. One per `RpcConfig::handlers`.
     Worker,
 }
 

@@ -5,9 +5,15 @@
 //! slow handler pins a thread for its whole duration. Following the
 //! bRPC/bthread argument (and Ibdxnet's, for highly concurrent
 //! InfiniBand applications): decouple *logical* concurrency from kernel
-//! threads. This module provides the runtime the server mounts when
-//! `RpcConfig::handler_runtime` is [`mn`](crate::config::HandlerRuntime):
+//! threads. This module is the server's only handler runtime;
+//! `cfg.handlers` sizes its OS workers:
 //!
+//! * **Run-in-place first poll** — a worker that pops a call from the
+//!   [`AdmissionQueue`](crate::admission::AdmissionQueue) polls it right
+//!   there ([`Sched::run_now`]), so pop order is DRR order and a call
+//!   that never suspends runs start to finish on the worker that popped
+//!   it, as on one of Hadoop's Handler threads. Only a call that yields
+//!   or parks enters the run queues and the parker below.
 //! * **Lightweight tasks** — a task is a heap-allocated call frame (a
 //!   boxed `FnMut` closure plus wake bookkeeping, tens of bytes) with
 //!   *explicit* yield/park points. No stack switching: handlers are
@@ -20,10 +26,8 @@
 //!   the Chase-Lev discipline, here under a short mutex rather than a
 //!   lock-free deque since queue ops are nanoseconds against
 //!   microsecond-scale handler bodies).
-//! * **A global injector** — new calls popped from the
-//!   [`AdmissionQueue`](crate::admission::AdmissionQueue) enter in DRR
-//!   pop order, and externally woken tasks re-enter here, visible to
-//!   every worker.
+//! * **A global injector** — externally woken tasks re-enter here,
+//!   visible to every worker.
 //! * **A parker on the modeled-time ledger's terms** — parking charges
 //!   **zero** nanoseconds to any node: the task's frame sits in its
 //!   [`WakeHandle`] slot (or the timer heap for [`park_until`]
@@ -228,8 +232,10 @@ struct SchedInner {
     parked: AtomicUsize,
     parked_peak: AtomicUsize,
     /// Idle workers block here; wakes, spawns, injections, admission
-    /// pushes, and close all notify.
-    idle_lock: Mutex<()>,
+    /// pushes, and close all notify. The flag is the notify itself: set
+    /// under the lock and consumed by the next [`Sched::idle_wait`], so
+    /// a notify that lands while no worker is waiting yet still sticks.
+    idle_lock: Mutex<bool>,
     idle_cv: Condvar,
     closed: AtomicBool,
     stats: Vec<Arc<ShardStats>>,
@@ -238,12 +244,17 @@ struct SchedInner {
 impl SchedInner {
     fn inject(&self, task: Task) {
         self.injector.lock().push_back(task);
+        self.notify();
+    }
+
+    fn notify(&self) {
+        *self.idle_lock.lock() = true;
         self.idle_cv.notify_one();
     }
 }
 
 /// The work-stealing M:N scheduler. Passive by design: it owns no
-/// threads. The server's `mn` worker loops drive it on wall-derived
+/// threads. The server's handler workers drive it on wall-derived
 /// monotonic time; the `handlers_mn` bench figure drives the identical
 /// structure single-threaded on virtual time.
 pub struct Sched {
@@ -266,7 +277,7 @@ impl Sched {
                 inflight: AtomicUsize::new(0),
                 parked: AtomicUsize::new(0),
                 parked_peak: AtomicUsize::new(0),
-                idle_lock: Mutex::new(()),
+                idle_lock: Mutex::new(false),
                 idle_cv: Condvar::new(),
                 closed: AtomicBool::new(false),
                 stats,
@@ -279,13 +290,27 @@ impl Sched {
     }
 
     /// Spawn a task onto `worker`'s own queue (LIFO end — it runs next
-    /// on that worker unless stolen). This is how a worker turns a call
-    /// it just popped from the admission queue into a frame without
-    /// losing locality.
+    /// on that worker unless stolen).
     pub fn spawn(&self, worker: usize, poll: impl FnMut(&mut TaskCx) -> Step + Send + 'static) {
         let task = self.make_task(Box::new(poll));
         self.inner.locals[worker].lock().push_back(task);
-        self.inner.idle_cv.notify_one();
+        self.inner.notify();
+    }
+
+    /// Spawn a task and give it its first poll right here on `worker`,
+    /// at `now_ns`: no queue push, no notify. A task that finishes in
+    /// that poll never touches the run queues; one that yields or parks
+    /// continues exactly as a [`Sched::run`] of a queued task would.
+    /// This is how a worker runs a call it just popped from the
+    /// admission queue.
+    pub fn run_now(
+        &self,
+        worker: usize,
+        poll: impl FnMut(&mut TaskCx) -> Step + Send + 'static,
+        now_ns: u64,
+    ) -> RunOutcome {
+        let task = self.make_task(Box::new(poll));
+        self.run(worker, task, now_ns)
     }
 
     /// Spawn a task onto the global injector (FIFO). External producers
@@ -381,7 +406,7 @@ impl Sched {
                 // The stealing end: behind everything already queued
                 // locally, ahead of nothing.
                 self.inner.locals[worker].lock().push_front(task);
-                self.inner.idle_cv.notify_one();
+                self.inner.notify();
                 RunOutcome::Yielded
             }
             Step::Park => {
@@ -456,30 +481,35 @@ impl Sched {
     }
 
     /// Wake one idle worker (a producer made new work observable — e.g.
-    /// the reader pushed onto the admission queue).
+    /// the reader pushed onto the admission queue). With no worker
+    /// waiting, the notify is kept for the next [`Sched::idle_wait`].
     pub fn notify(&self) {
-        self.inner.idle_cv.notify_one();
+        self.inner.notify();
     }
 
     /// Block the calling worker until notified or `timeout`, whichever
-    /// first. Callers bound `timeout` by [`Sched::next_timer_ns`] so a
-    /// deadline park never oversleeps. Returns immediately once closed.
-    pub fn idle_wait(&self, timeout: Duration) {
-        if self.inner.closed.load(Ordering::Acquire) {
-            return;
+    /// first; returns `true` if woken (by a notify, possibly one that
+    /// arrived before this call, or by close) and `false` on timeout.
+    /// Callers bound `timeout` by [`Sched::next_timer_ns`] so a deadline
+    /// park never oversleeps. Returns immediately once closed.
+    pub fn idle_wait(&self, timeout: Duration) -> bool {
+        let mut notified = self.inner.idle_lock.lock();
+        if !*notified && !self.inner.closed.load(Ordering::Acquire) {
+            let _ = self.inner.idle_cv.wait_for(&mut notified, timeout);
         }
-        let mut guard = self.inner.idle_lock.lock();
-        if self.inner.closed.load(Ordering::Acquire) {
-            return;
-        }
-        let _ = self.inner.idle_cv.wait_for(&mut guard, timeout);
+        std::mem::take(&mut *notified) || self.inner.closed.load(Ordering::Acquire)
     }
 
     /// Close the runtime: every idle worker wakes; subsequent
     /// `idle_wait`s return immediately. Queued tasks stay runnable so a
     /// drain can finish them.
     pub fn close(&self) {
-        self.inner.closed.store(true, Ordering::Release);
+        {
+            // Under the lock, so a worker between its closed check and
+            // its wait cannot miss the flag.
+            let _guard = self.inner.idle_lock.lock();
+            self.inner.closed.store(true, Ordering::Release);
+        }
         self.inner.idle_cv.notify_all();
     }
 
@@ -521,8 +551,8 @@ pub(crate) enum ParkRequest {
     Until(u64),
 }
 
-/// The `Yield`/`park_until` surface handlers gain under the `mn`
-/// runtime: per-poll context for services implementing
+/// The `Yield`/`park_until` surface handlers gain on the runtime:
+/// per-poll context for services implementing
 /// [`RpcService::call_mn`](crate::service::RpcService::call_mn).
 ///
 /// A suspending service records *one* request (`yield_now`, `park_for`,
@@ -856,5 +886,40 @@ mod tests {
             "close must interrupt idle_wait"
         );
         s.idle_wait(Duration::from_secs(30)); // returns immediately when closed
+    }
+
+    #[test]
+    fn notify_before_idle_wait_is_not_lost() {
+        // A push that lands between a worker's empty queue check and its
+        // wait must still wake it: the notify sticks until the next
+        // idle_wait, which then reports "woken" without sleeping.
+        let s = sched(1);
+        s.notify();
+        assert!(s.idle_wait(Duration::from_secs(30)), "notify was lost");
+        // Consumed: the next wait with nothing pending times out.
+        assert!(!s.idle_wait(Duration::from_millis(1)));
+    }
+
+    #[test]
+    fn run_now_polls_in_place_and_queues_only_on_suspend() {
+        let s = sched(1);
+        assert_eq!(s.run_now(0, |_cx| Step::Done, 0), RunOutcome::Done);
+        assert_eq!(s.queued(), 0);
+        assert_eq!(s.inflight(), 0);
+        let outcome = s.run_now(
+            0,
+            |cx| {
+                if cx.polls() == 0 {
+                    Step::Yield
+                } else {
+                    Step::Done
+                }
+            },
+            0,
+        );
+        assert_eq!(outcome, RunOutcome::Yielded);
+        assert_eq!(s.queued(), 1, "a suspended call enters the run queue");
+        assert_eq!(drain_worker(&s, 0, 0), 1);
+        assert_eq!(s.residue(), 0);
     }
 }

@@ -32,10 +32,13 @@
 //!   pushed onto the bounded call queue — *without blocking*: an
 //!   overflowing queue answers with a retryable busy rejection instead
 //!   of stalling every other call on the shard;
-//! * a pool of **Handler** threads pops calls, dispatches into the
-//!   registered services, serializes the response once, and hands the
+//! * `RpcConfig::handlers` **Handler** workers pop calls, dispatch into
+//!   the registered services, serialize the response once, and hand the
 //!   bytes (to the caller *and* any parked duplicate attempts) to the
-//!   responder shards;
+//!   responder shards. The workers drive the M:N runtime
+//!   ([`crate::sched`]): a popped call is polled on the worker that
+//!   popped it, and only a call that suspends becomes a queued task, so
+//!   a parked call holds no worker;
 //! * **M responder shards** (`RpcConfig::responder_shards`) transmit
 //!   responses. A response is routed to shard `conn_id % M`, so all
 //!   responses of one connection flow through one shard in enqueue
@@ -68,7 +71,7 @@ use simnet::{Fabric, NodeId, SimAddr, SimListener};
 use wire::Writable;
 
 use crate::admission::{AdmissionQueue, AdmitError, CallClass, CallMeta};
-use crate::config::{HandlerRuntime, RpcConfig};
+use crate::config::RpcConfig;
 use crate::error::{RpcError, RpcResult};
 use crate::frame::{
     busy_body, expired_body, read_request_header, write_response_body, write_response_lead,
@@ -81,7 +84,7 @@ use crate::metrics::{
 };
 use crate::readiness::{token, token_gen, token_slot, Pop, ReadyQueue, WakeState, TOKEN_REGISTER};
 use crate::retry_cache::{Admission, CallKey, RetryCache};
-use crate::sched::{CallPoll, HandlerCx, ParkRequest, Sched, Step};
+use crate::sched::{CallPoll, HandlerCx, ParkRequest, Sched, Step, TaskCx};
 use crate::service::ServiceRegistry;
 use crate::transport::rdma::{IbContext, RdmaConn};
 use crate::transport::socket::SocketConn;
@@ -238,9 +241,8 @@ struct ServerInner {
     /// books the stolen connection's lifecycle (conn gauge) against its
     /// *owner* shard while counting the work on itself.
     reader_stats: Vec<Arc<ShardStats>>,
-    /// The M:N handler runtime (`handler_runtime = mn`); `None` under
-    /// the legacy thread pool.
-    sched: Option<Arc<Sched>>,
+    /// The handler runtime the workers drive.
+    sched: Sched,
     /// Protocols of the control/heartbeat admission class
     /// (`cfg.priority_protocols`); empty = single class.
     priority: HashSet<String>,
@@ -383,18 +385,10 @@ impl Server {
             reader_stats.push(stats);
             reader_state.push(Mutex::new(ReaderState::default()));
         }
-        // The M:N runtime and its per-worker counter blocks (absent —
-        // along with the `worker` shard rows — under the legacy pool).
-        let sched = match cfg.handler_runtime {
-            HandlerRuntime::Threads => None,
-            HandlerRuntime::Mn => {
-                let n = cfg.effective_handler_workers();
-                let stats: Vec<_> = (0..n)
-                    .map(|i| metrics.register_shard(ShardRole::Worker, i))
-                    .collect();
-                Some(Arc::new(Sched::new(n, stats)))
-            }
-        };
+        let worker_stats: Vec<_> = (0..cfg.handlers)
+            .map(|i| metrics.register_shard(ShardRole::Worker, i))
+            .collect();
+        let sched = Sched::new(cfg.handlers, worker_stats);
         let mut responders = Vec::with_capacity(n_responders);
         for i in 0..n_responders {
             let (tx, rx) = bounded(cfg.call_queue_len);
@@ -464,32 +458,15 @@ impl Server {
                     .expect("spawn reader shard"),
             );
         }
-        // The execution engine: the paper's fixed handler pool, or the
-        // M:N runtime's worker loops.
-        match inner.cfg.handler_runtime {
-            HandlerRuntime::Threads => {
-                for h in 0..inner.cfg.handlers {
-                    let inner = Arc::clone(&inner);
-                    threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("rpc-handler-{h}"))
-                            .spawn(move || handler_loop(inner))
-                            .expect("spawn handler"),
-                    );
-                }
-            }
-            HandlerRuntime::Mn => {
-                let workers = inner.cfg.effective_handler_workers();
-                for w in 0..workers {
-                    let inner = Arc::clone(&inner);
-                    threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("rpc-worker-{w}"))
-                            .spawn(move || mn_worker_loop(inner, w))
-                            .expect("spawn mn worker"),
-                    );
-                }
-            }
+        // Handler workers.
+        for w in 0..inner.cfg.handlers {
+            let inner = Arc::clone(&inner);
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("rpc-handler-{w}"))
+                    .spawn(move || worker_loop(inner, w))
+                    .expect("spawn handler worker"),
+            );
         }
         // Responder shards.
         for i in 0..n_responders {
@@ -616,13 +593,11 @@ impl Server {
         if self.inner.stop.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Wake handlers parked on the admission queue; anything still
-        // queued stays poppable, but handlers exit on the stop flag.
+        // Refuse further admissions; anything still queued stays
+        // poppable, but workers exit on the stop flag.
         self.inner.admission.close();
-        // And the M:N workers parked on the runtime's idle condvar.
-        if let Some(sched) = &self.inner.sched {
-            sched.close();
-        }
+        // Wake the workers idling on the runtime.
+        self.inner.sched.close();
         // And the reader shards blocked on their wake lists.
         for ready in &self.inner.reader_ready {
             ready.close();
@@ -1117,7 +1092,7 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
             Admission::Parked => return ReadOutcome::Frame,
             Admission::Replay(bytes) => {
                 // Completed earlier: answer from the cache, never
-                // touching the handler pool.
+                // touching a handler.
                 let route = RespRoute {
                     conn_id: sc.conn_id,
                     conn: Arc::clone(conn),
@@ -1170,13 +1145,7 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
     };
     inner.open_work.fetch_add(1, Ordering::AcqRel);
     match inner.admission.try_push(meta, call) {
-        Ok(()) => {
-            // Under the M:N runtime nothing blocks on the admission
-            // queue's condvar — nudge an idle worker instead.
-            if let Some(sched) = &inner.sched {
-                sched.notify();
-            }
-        }
+        Ok(()) => inner.sched.notify(),
         Err((AdmitError::QueueFull | AdmitError::TenantOverQuota, _call)) => {
             // Overload (shared queue full, or this tenant over its
             // quota): reject instead of blocking the shard (which would
@@ -1210,110 +1179,46 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
     ReadOutcome::Frame
 }
 
-fn handler_loop(inner: Arc<ServerInner>) {
-    loop {
-        let popped = inner.admission.pop(inner.now_ns(), IDLE_SLICE);
-        // Expired heads are answered without execution — that is the whole
-        // point of deadline propagation: the client already gave up on
-        // these, so running them is pure wasted work.
-        for (meta, call) in popped.shed {
-            shed_call(&inner, meta, call);
-        }
-        match popped.run {
-            Some((meta, call)) => {
-                let entry = inner.metrics.entry(call.header.key);
-                entry.record_phase(
-                    Phase::ServerQueue,
-                    call.admitted_at.elapsed().as_nanos() as u64,
-                );
-                let handler_start = Instant::now();
-                let mut reader = call.payload.reader();
-                reader.skip(call.body_offset);
-                let result = inner.registry.dispatch(
-                    call.header.protocol(),
-                    call.header.method(),
-                    &mut reader,
-                );
-                // Serialize once, on the handler thread; the responder
-                // shard (and any parked duplicate) just transmits bytes.
-                let error_text;
-                let result_ref: Result<&dyn Writable, &str> = match &result {
-                    Ok(value) => Ok(value.as_ref()),
-                    Err(e) => {
-                        // Application errors travel as their bare
-                        // message; engine errors keep their category
-                        // prefix.
-                        error_text = match e {
-                            RpcError::Remote(m) => m.clone(),
-                            other => other.to_string(),
-                        };
-                        Err(&error_text)
-                    }
-                };
-                // The body is serialized *version-neutral* (`[status]
-                // [value]`): the responder shard prepends each route's
-                // own lead, so a replay or parked duplicate arriving in a
-                // different frame version still shares these bytes.
-                let mut body = Vec::new();
-                write_response_body(&mut body, result_ref).expect("serializing to Vec cannot fail");
-                let bytes = Arc::new(body);
-                entry.record_phase(Phase::Handler, handler_start.elapsed().as_nanos() as u64);
-
-                let mut routes = vec![RespRoute {
-                    conn_id: call.conn_id,
-                    conn: call.conn,
-                    key: call.header.key,
-                    version: call.header.version,
-                    client_id: call.header.client_id,
-                    seq: call.header.seq,
-                }];
-                if call.header.version != FrameVersion::V1 && call.header.client_id != 0 {
-                    let key = (call.header.client_id, call.header.seq);
-                    routes.extend(inner.retry_cache.complete(key, Arc::clone(&bytes)));
-                }
-                for route in routes {
-                    inner.enqueue_response(route, Arc::clone(&bytes));
-                }
-                // The call's own open_work slot transfers to the response
-                // entries enqueued above; release it only now so `drain`
-                // never sees a gap between "popped" and "response queued".
-                inner.open_work.fetch_sub(1, Ordering::AcqRel);
-                inner.admission.release(meta.tenant);
-            }
-            None => {
-                if inner.stop.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// One M:N worker's loop (`handler_runtime = mn`): fire due timers,
-/// admit new calls from the admission queue (DRR pop order preserved —
-/// each call is injected into the runtime's global FIFO), and run the
-/// next task — own queue first, then the injector, then stealing. The
-/// admission step precedes the run step so a yield-spinning task can
-/// never starve new arrivals; the in-flight cap
+/// One handler worker's loop: fire due timers, pop the next call from the
+/// admission queue (DRR order) and poll it in place, then run one queued
+/// task — own queue first, then the injector, then stealing. Running
+/// both steps per pass means neither a stream of new arrivals nor a
+/// yield-spinning task can starve the other; the in-flight cap
 /// (`cfg.max_inflight_calls`) pauses admission — backpressure into the
 /// bounded queue, not rejection — while parked tasks pile up.
-fn mn_worker_loop(inner: Arc<ServerInner>, worker: usize) {
-    let sched = Arc::clone(inner.sched.as_ref().expect("mn mode"));
+fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
+    let sched = &inner.sched;
     let cap = inner.cfg.max_inflight_calls;
     loop {
         let now = inner.now_ns();
-        sched.fire_timers(now);
+        // No live task means nothing is queued, parked or timed: the
+        // worker of a call that never suspends skips the timer heap and
+        // the run-queue scan. A task spawned after this read notifies,
+        // and the notify sticks until this worker's next idle wait.
+        let tasks = sched.inflight() > 0;
+        if tasks {
+            sched.fire_timers(now);
+        }
+        let mut popped_any = false;
         if cap == 0 || sched.inflight() < cap {
             let popped = inner.admission.try_pop(now);
+            popped_any = !popped.is_empty();
+            // Expired heads are answered without execution — that is the
+            // whole point of deadline propagation: the client already
+            // gave up on these, so running them is pure wasted work.
             for (meta, call) in popped.shed {
                 shed_call(&inner, meta, call);
             }
             if let Some((meta, call)) = popped.run {
-                spawn_call_task(&inner, &sched, meta, call);
+                run_call(&inner, worker, meta, call, now);
             }
         }
-        if let Some(task) = sched.next_task(worker) {
+        let next = if tasks { sched.next_task(worker) } else { None };
+        if let Some(task) = next {
             sched.run(worker, task, inner.now_ns());
+            continue;
+        }
+        if popped_any {
             continue;
         }
         if inner.stop.load(Ordering::Acquire) {
@@ -1332,24 +1237,20 @@ fn mn_worker_loop(inner: Arc<ServerInner>, worker: usize) {
     }
 }
 
-/// Turn one admitted call into a lightweight task on the M:N runtime.
-/// The task's frame *is* this closure's captures — the `RawCall`, the
-/// service's stash, and the accumulated handler time — a few hundred
-/// bytes on the heap, against the legacy pool's full OS thread per
-/// in-flight call.
-///
-/// A completed poll mirrors [`handler_loop`]'s tail exactly: serialize
-/// the version-neutral body once, fan out to the caller's route plus any
-/// parked duplicates, transfer the open-work slot to the responses, and
-/// release the tenant's admission quota.
-fn spawn_call_task(inner: &Arc<ServerInner>, sched: &Sched, meta: CallMeta, call: RawCall) {
-    let inner = Arc::clone(inner);
+/// Give one admitted call its first poll on `worker`, as a task of the
+/// runtime. The task's frame *is* this closure's captures — the
+/// `RawCall`, the service's stash, and the accumulated handler time — a
+/// few hundred bytes on the heap; it only outlives this call if the
+/// service suspends.
+fn run_call(inner: &Arc<ServerInner>, worker: usize, meta: CallMeta, call: RawCall, now_ns: u64) {
+    let task_inner = Arc::clone(inner);
     let mut call = Some(call);
     let mut stash: Option<Box<dyn std::any::Any + Send>> = None;
     // Handler-phase time is the sum of this task's *running* slices;
     // parked time is charged to nobody — that is the point.
     let mut handler_ns: u64 = 0;
-    sched.inject(move |cx| {
+    let task = move |cx: &mut TaskCx| {
+        let inner = &task_inner;
         let c = call.as_mut().expect("task polled after completion");
         let entry = inner.metrics.entry(c.header.key);
         if cx.polls() == 0 {
@@ -1362,7 +1263,7 @@ fn spawn_call_task(inner: &Arc<ServerInner>, sched: &Sched, meta: CallMeta, call
         let mut reader = c.payload.reader();
         reader.skip(c.body_offset);
         let mut hcx = HandlerCx::new(cx, &mut stash);
-        let dispatched = inner.registry.dispatch_mn(
+        let dispatched = inner.registry.dispatch(
             c.header.protocol(),
             c.header.method(),
             &mut reader,
@@ -1385,11 +1286,14 @@ fn spawn_call_task(inner: &Arc<ServerInner>, sched: &Sched, meta: CallMeta, call
             Ok(CallPoll::Ready(Err(msg))) => Err(RpcError::Remote(msg)),
             Err(e) => Err(e),
         };
-        let c = call.take().expect("taken once");
+        // Serialize once, on the worker; the responder shard (and any
+        // parked duplicate) just transmits bytes.
         let error_text;
         let result_ref: Result<&dyn Writable, &str> = match &result {
             Ok(value) => Ok(value.as_ref()),
             Err(e) => {
+                // Application errors travel as their bare message;
+                // engine errors keep their category prefix.
                 error_text = match e {
                     RpcError::Remote(m) => m.clone(),
                     other => other.to_string(),
@@ -1397,59 +1301,55 @@ fn spawn_call_task(inner: &Arc<ServerInner>, sched: &Sched, meta: CallMeta, call
                 Err(&error_text)
             }
         };
+        // The body is serialized *version-neutral* (`[status][value]`):
+        // the responder shard prepends each route's own lead, so a
+        // replay or parked duplicate arriving in a different frame
+        // version still shares these bytes.
         let mut body = Vec::new();
         write_response_body(&mut body, result_ref).expect("serializing to Vec cannot fail");
-        let bytes = Arc::new(body);
         handler_ns += poll_start.elapsed().as_nanos() as u64;
         entry.record_phase(Phase::Handler, handler_ns);
-
-        let mut routes = vec![RespRoute {
-            conn_id: c.conn_id,
-            conn: c.conn,
-            key: c.header.key,
-            version: c.header.version,
-            client_id: c.header.client_id,
-            seq: c.header.seq,
-        }];
-        if c.header.version != FrameVersion::V1 && c.header.client_id != 0 {
-            let key = (c.header.client_id, c.header.seq);
-            routes.extend(inner.retry_cache.complete(key, Arc::clone(&bytes)));
-        }
-        for route in routes {
-            inner.enqueue_response(route, Arc::clone(&bytes));
-        }
-        // The call's open_work slot transfers to the responses above,
-        // exactly as in the thread pool.
-        inner.open_work.fetch_sub(1, Ordering::AcqRel);
+        respond(inner, call.take().expect("taken once"), Arc::new(body));
         inner.admission.release(meta.tenant);
         Step::Done
-    });
+    };
+    inner.sched.run_now(worker, task, now_ns);
 }
 
 /// Answer a deadline-expired call with `STATUS_EXPIRED` without executing
 /// it. The retry cache is *completed* (not aborted) with the expired body,
 /// so any duplicate attempt — parked or future — replays the same verdict
-/// instead of re-executing a call the client already gave up on.
+/// instead of re-executing a call the client already gave up on. The
+/// queue already returned the tenant's quota slot when it shed the call.
 fn shed_call(inner: &Arc<ServerInner>, meta: CallMeta, call: RawCall) {
     inner.metrics.inc_deadline_sheds_for(meta.tenant);
     let bytes = Arc::new(expired_body(call.header.version));
+    respond(inner, call, bytes);
+}
+
+/// The completion tail of every popped call, executed or shed: complete
+/// the retry cache with `bytes`, enqueue them for the caller's route and
+/// every parked duplicate, and transfer the call's `open_work` slot to
+/// those responses.
+fn respond(inner: &ServerInner, call: RawCall, bytes: Arc<Vec<u8>>) {
+    let header = &call.header;
     let mut routes = vec![RespRoute {
         conn_id: call.conn_id,
         conn: call.conn,
-        key: call.header.key,
-        version: call.header.version,
-        client_id: call.header.client_id,
-        seq: call.header.seq,
+        key: header.key,
+        version: header.version,
+        client_id: header.client_id,
+        seq: header.seq,
     }];
-    if call.header.version != FrameVersion::V1 && call.header.client_id != 0 {
-        let key = (call.header.client_id, call.header.seq);
+    if header.version != FrameVersion::V1 && header.client_id != 0 {
+        let key = (header.client_id, header.seq);
         routes.extend(inner.retry_cache.complete(key, Arc::clone(&bytes)));
     }
     for route in routes {
         inner.enqueue_response(route, Arc::clone(&bytes));
     }
-    // The queue already returned the tenant's quota slot when it shed the
-    // call; only the open_work slot transfers to the responses above.
+    // Released only now, so `drain` never sees a gap between "popped"
+    // and "response queued".
     inner.open_work.fetch_sub(1, Ordering::AcqRel);
 }
 

@@ -29,7 +29,7 @@ pub trait RpcService: Send + Sync {
         param: &mut dyn DataInput,
     ) -> Result<Box<dyn Writable + Send>, String>;
 
-    /// Poll `method` under the M:N runtime (`handler_runtime = mn`).
+    /// Poll `method` on the handler runtime ([`crate::sched`]).
     ///
     /// Called once per task poll; a suspending service records a
     /// yield/park request on `cx` (or nothing, meaning "park until my
@@ -39,8 +39,9 @@ pub trait RpcService: Send + Sync {
     /// `param` is re-presented from the start of the parameter bytes on
     /// every poll.
     ///
-    /// The default completes synchronously via [`RpcService::call`], so
-    /// existing services run unmodified under either runtime.
+    /// The default completes synchronously via [`RpcService::call`] in
+    /// the first poll, so a service that never suspends only implements
+    /// `call`.
     fn call_mn(&self, method: &str, param: &mut dyn DataInput, cx: &mut HandlerCx<'_>) -> CallPoll {
         let _ = cx;
         CallPoll::Ready(self.call(method, param))
@@ -69,24 +70,9 @@ impl ServiceRegistry {
         );
     }
 
-    /// Dispatch a call.
-    pub fn dispatch(
-        &self,
-        protocol: &str,
-        method: &str,
-        param: &mut dyn DataInput,
-    ) -> RpcResult<Box<dyn Writable + Send>> {
-        let service = self
-            .services
-            .get(protocol)
-            .ok_or_else(|| RpcError::UnknownProtocol(protocol.to_owned()))?;
-        service.call(method, param).map_err(RpcError::Remote)
-    }
-
-    /// Dispatch one poll of a call under the M:N runtime. Protocol
-    /// lookup errors are terminal ([`CallPoll::Ready`] with the error);
+    /// Dispatch one poll of a call. Protocol lookup errors are terminal;
     /// only the service itself can return [`CallPoll::Pending`].
-    pub fn dispatch_mn(
+    pub fn dispatch(
         &self,
         protocol: &str,
         method: &str,
@@ -164,7 +150,44 @@ pub(crate) mod test_support {
 mod tests {
     use super::test_support::EchoService;
     use super::*;
+    use crate::metrics::ShardStats;
+    use crate::sched::{Sched, Step};
     use wire::{to_bytes, IntWritable};
+
+    /// One poll of `dispatch` inside a real task, the way a handler
+    /// worker runs it; returns the completed result.
+    fn dispatch_once(
+        registry: &ServiceRegistry,
+        protocol: &str,
+        method: &str,
+        param: &[u8],
+    ) -> RpcResult<Result<Vec<u8>, String>> {
+        let sched = Sched::new(1, vec![Arc::new(ShardStats::default())]);
+        let out = Arc::new(parking_lot::Mutex::new(None));
+        let (registry, protocol, method, param, slot) = (
+            registry.clone(),
+            protocol.to_owned(),
+            method.to_owned(),
+            param.to_vec(),
+            Arc::clone(&out),
+        );
+        sched.run_now(
+            0,
+            move |cx| {
+                let mut stash = None;
+                let mut hcx = HandlerCx::new(cx, &mut stash);
+                let polled = registry.dispatch(&protocol, &method, &mut param.as_slice(), &mut hcx);
+                *slot.lock() = Some(polled.map(|poll| match poll {
+                    CallPoll::Ready(r) => r.map(|v| to_bytes(v.as_ref()).unwrap()),
+                    CallPoll::Pending => panic!("EchoService never suspends"),
+                }));
+                Step::Done
+            },
+            0,
+        );
+        let result = out.lock().take().expect("polled once");
+        result
+    }
 
     #[test]
     fn dispatch_routes_by_protocol_and_method() {
@@ -173,22 +196,14 @@ mod tests {
         let mut param = Vec::new();
         param.extend(to_bytes(&IntWritable(2)).unwrap());
         param.extend(to_bytes(&IntWritable(40)).unwrap());
-        let result = registry
-            .dispatch("test.EchoProtocol", "add", &mut param.as_slice())
-            .unwrap();
-        assert_eq!(
-            to_bytes(result.as_ref()).unwrap(),
-            to_bytes(&IntWritable(42)).unwrap()
-        );
+        let result = dispatch_once(&registry, "test.EchoProtocol", "add", &param).unwrap();
+        assert_eq!(result, Ok(to_bytes(&IntWritable(42)).unwrap()));
     }
 
     #[test]
     fn unknown_protocol_is_an_error() {
         let registry = ServiceRegistry::new();
-        let err = registry
-            .dispatch("nope", "m", &mut [].as_slice())
-            .err()
-            .unwrap();
+        let err = dispatch_once(&registry, "nope", "m", &[]).err().unwrap();
         assert!(matches!(err, RpcError::UnknownProtocol(_)));
     }
 
@@ -196,11 +211,8 @@ mod tests {
     fn app_errors_become_remote() {
         let mut registry = ServiceRegistry::new();
         registry.register(Arc::new(EchoService));
-        let err = registry
-            .dispatch("test.EchoProtocol", "boom", &mut [].as_slice())
-            .err()
-            .unwrap();
-        assert_eq!(err, RpcError::Remote("deliberate failure".into()));
+        let result = dispatch_once(&registry, "test.EchoProtocol", "boom", &[]).unwrap();
+        assert_eq!(result, Err("deliberate failure".to_owned()));
     }
 
     #[test]

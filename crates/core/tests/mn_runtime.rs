@@ -1,4 +1,4 @@
-//! End-to-end tests of the M:N handler runtime (PR 10): parked calls
+//! End-to-end tests of the M:N handler runtime: parked calls
 //! must cost bytes instead of threads, fast traffic must not starve
 //! behind slow calls, random yield/park schedules must answer exactly
 //! once on both transports, protocol-priority classes must keep
@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use rpcoib::metrics::ShardStats;
 use rpcoib::{
-    CallPoll, Client, HandlerCx, HandlerRuntime, RpcConfig, RpcService, Sched, Server,
-    ServiceRegistry, ShardRole, Step,
+    CallPoll, Client, HandlerCx, RpcConfig, RpcService, Sched, Server, ServiceRegistry, ShardRole,
+    Step,
 };
 use simnet::{model, Fabric, SimAddr};
 use wire::{BytesWritable, DataInput, LongWritable, Writable};
@@ -60,13 +60,12 @@ fn transports() -> Vec<(&'static str, Fabric, RpcConfig)> {
     ]
 }
 
-/// Echo service with explicit suspension points for the `mn` runtime.
+/// Echo service with explicit suspension points.
 ///
-/// Request body: `[steps, op_1 .. op_steps, data...]`. Under `mn`, poll
-/// `k < steps` suspends per `op_{k+1}` (even → cooperative yield, odd →
-/// timed park of `op % 3` ms); the poll after the last op echoes `data`.
-/// Under the thread pool the schedule is skipped and `data` echoes
-/// directly — the response must be identical either way.
+/// Request body: `[steps, op_1 .. op_steps, data...]`. Poll `k < steps`
+/// suspends per `op_{k+1}` (even → cooperative yield, odd → timed park
+/// of `op % 3` ms); the poll after the last op echoes `data`. The
+/// blocking `call` skips the schedule and echoes `data` directly.
 struct ScriptEcho {
     completions: AtomicU64,
 }
@@ -178,9 +177,8 @@ fn echo(client: &Client, addr: SimAddr, proto: &str, method: &str, body: Vec<u8>
 // Tentpole: the M:N runtime end to end.
 // ---------------------------------------------------------------------
 
-/// A lone call round-trips under `handler_runtime = mn` on both
-/// transports, and the runtime's per-worker shard counters surface in
-/// the server snapshot.
+/// A lone call round-trips on both transports, and the runtime's
+/// per-worker shard counters surface in the server snapshot.
 #[test]
 fn mn_lone_echo_round_trips_on_both_transports() {
     let _wd = watchdog(
@@ -188,8 +186,7 @@ fn mn_lone_echo_round_trips_on_both_transports() {
         Duration::from_secs(60),
     );
     for (label, fabric, mut cfg) in transports() {
-        cfg.handler_runtime = HandlerRuntime::Mn;
-        cfg.handler_workers = 4;
+        cfg.handlers = 4;
         let (server, addr) = start(&fabric, &cfg, vec![Arc::new(ParkEcho)]);
         let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
         let body = vec![0x42u8; 1024];
@@ -245,8 +242,7 @@ fn parked_call_frees_its_single_worker() {
         Duration::from_secs(60),
     );
     for (label, fabric, mut cfg) in transports() {
-        cfg.handler_runtime = HandlerRuntime::Mn;
-        cfg.handler_workers = 1;
+        cfg.handlers = 1;
         let (server, addr) = start(&fabric, &cfg, vec![Arc::new(ParkEcho)]);
         let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
 
@@ -316,8 +312,7 @@ fn concurrent_random_schedules_complete_exactly_once() {
         Duration::from_secs(120),
     );
     for (label, fabric, mut cfg) in transports() {
-        cfg.handler_runtime = HandlerRuntime::Mn;
-        cfg.handler_workers = 4;
+        cfg.handlers = 4;
         let service = Arc::new(ScriptEcho {
             completions: AtomicU64::new(0),
         });
@@ -474,52 +469,42 @@ fn heartbeats_jump_a_bulk_flood() {
 /// Gathered V3 batches (many pipelined frames arriving as one wire op)
 /// decode wholesale on the server's read side: heavy pipelining over a
 /// single connection stays correct — every response routed to its
-/// caller, byte-identical — under both handler runtimes and transports.
+/// caller, byte-identical — on both transports.
 #[test]
-fn gathered_bursts_decode_correctly_under_both_runtimes() {
-    let _wd = watchdog(
-        "gathered_bursts_decode_correctly_under_both_runtimes",
-        Duration::from_secs(120),
-    );
-    for runtime in [HandlerRuntime::Threads, HandlerRuntime::Mn] {
-        for (label, fabric, mut cfg) in transports() {
-            cfg.handler_runtime = runtime;
-            let (server, addr) = start(&fabric, &cfg, vec![Arc::new(ParkEcho)]);
-            // One client = one connection; 8 threads pipeline onto it so
-            // the server sees multi-frame gathered batches.
-            let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
-            let handles: Vec<_> = (0..8usize)
-                .map(|t| {
-                    let client = client.clone();
-                    std::thread::spawn(move || {
-                        for i in 0..20usize {
-                            let body = vec![(t * 32 + i) as u8; 128 + i];
-                            let resp: BytesWritable = client
-                                .call(addr, "mn.ParkEcho", "echo", &BytesWritable(body.clone()))
-                                .expect("pipelined call");
-                            assert_eq!(resp.0, body);
-                        }
-                    })
+fn gathered_bursts_decode_correctly() {
+    let _wd = watchdog("gathered_bursts_decode_correctly", Duration::from_secs(120));
+    for (label, fabric, cfg) in transports() {
+        let (server, addr) = start(&fabric, &cfg, vec![Arc::new(ParkEcho)]);
+        // One client = one connection; 8 threads pipeline onto it so
+        // the server sees multi-frame gathered batches.
+        let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
+        let handles: Vec<_> = (0..8usize)
+            .map(|t| {
+                let client = client.clone();
+                std::thread::spawn(move || {
+                    for i in 0..20usize {
+                        let body = vec![(t * 32 + i) as u8; 128 + i];
+                        let resp: BytesWritable = client
+                            .call(addr, "mn.ParkEcho", "echo", &BytesWritable(body.clone()))
+                            .expect("pipelined call");
+                        assert_eq!(resp.0, body);
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            let snap = server.metrics_snapshot();
-            let frames: u64 = snap
-                .shards
-                .iter()
-                .filter(|s| s.role == ShardRole::Reader)
-                .map(|s| s.processed)
-                .sum();
-            assert!(
-                frames >= 160,
-                "runtime {} transport {label}: {frames} frames read",
-                runtime.name()
-            );
-            client.shutdown();
-            server.stop();
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        let snap = server.metrics_snapshot();
+        let frames: u64 = snap
+            .shards
+            .iter()
+            .filter(|s| s.role == ShardRole::Reader)
+            .map(|s| s.processed)
+            .sum();
+        assert!(frames >= 160, "transport {label}: {frames} frames read");
+        client.shutdown();
+        server.stop();
     }
 }
 
@@ -639,8 +624,7 @@ fn prop_env(rdma: bool) -> &'static PropEnv {
         } else {
             (model::IPOIB_QDR, RpcConfig::socket())
         };
-        cfg.handler_runtime = HandlerRuntime::Mn;
-        cfg.handler_workers = 4;
+        cfg.handlers = 4;
         let fabric = Fabric::new(net);
         let service = Arc::new(ScriptEcho {
             completions: AtomicU64::new(0),

@@ -6,11 +6,12 @@
 //!
 //! Three observable claims, each asserted:
 //!
-//! 1. **Parity** — flipping `handler_runtime` from `threads` to `mn`
-//!    is invisible to a lone sequential caller.
-//! 2. **Elasticity** — 64 calls parked mid-handler on a 2-worker `mn`
+//! 1. **Lone caller** — a call that never suspends round-trips, polled
+//!    to completion on the worker that popped it.
+//! 2. **Elasticity** — 64 calls parked mid-handler on a 2-worker
 //!    server all complete, while a fast caller keeps flowing *through*
-//!    the parked population (the legacy pool would need 64 threads).
+//!    the parked population (a thread-per-call pool would need 64
+//!    threads).
 //! 3. **Priority** — with `priority_protocols`, a heartbeat protocol
 //!    pops ahead of a bulk flood instead of queueing behind it.
 
@@ -19,8 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rpcoib_suite::rpcoib::{
-    CallPoll, Client, HandlerCx, HandlerRuntime, RpcConfig, RpcService, Server, ServiceRegistry,
-    ShardRole,
+    CallPoll, Client, HandlerCx, RpcConfig, RpcService, Server, ServiceRegistry, ShardRole,
 };
 use rpcoib_suite::simnet::{model, Fabric};
 use rpcoib_suite::wire::{DataInput, LongWritable, Writable};
@@ -43,8 +43,8 @@ impl RpcService for LookupService {
         method: &str,
         param: &mut dyn DataInput,
     ) -> Result<Box<dyn Writable + Send>, String> {
-        // Legacy-pool path (`handler_runtime = threads`): same contract,
-        // but a slow call blocks its pool thread for the duration.
+        // The blocking form of the same contract, for callers outside
+        // the runtime: a slow call holds its thread for the duration.
         let mut arg = LongWritable::default();
         arg.read_fields(param).map_err(|e| e.to_string())?;
         match method {
@@ -105,35 +105,31 @@ fn ping(client: &Client, server: &Server, v: i64) -> i64 {
     r.0
 }
 
-/// Part 1: a lone sequential caller can't tell the runtimes apart.
-fn parity() {
-    println!("== parity: lone caller, threads vs mn ==");
-    for runtime in [HandlerRuntime::Threads, HandlerRuntime::Mn] {
-        let mut cfg = RpcConfig::rpcoib();
-        cfg.handler_runtime = runtime;
-        let (_fabric, server, client, _service) = boot(&cfg);
-        for i in 0..20 {
-            assert_eq!(ping(&client, &server, i), i + 1);
-        }
-        let start = Instant::now();
-        let n = 200;
-        for i in 0..n {
-            assert_eq!(ping(&client, &server, i), i + 1);
-        }
-        let per_call = start.elapsed() / n as u32;
-        println!("  {:>7}: {per_call:>9.1?} per call", runtime.name());
-        client.shutdown();
-        server.stop();
+/// Part 1: a lone sequential caller; each call runs in place on the
+/// worker that popped it.
+fn lone_caller() {
+    println!("== lone caller ==");
+    let (_fabric, server, client, _service) = boot(&RpcConfig::rpcoib());
+    for i in 0..20 {
+        assert_eq!(ping(&client, &server, i), i + 1);
     }
+    let start = Instant::now();
+    let n = 200;
+    for i in 0..n {
+        assert_eq!(ping(&client, &server, i), i + 1);
+    }
+    let per_call = start.elapsed() / n as u32;
+    println!("  {per_call:>9.1?} per call");
+    client.shutdown();
+    server.stop();
 }
 
 /// Part 2: 64 parked calls on 2 workers, with a fast caller flowing
 /// through them the whole time.
 fn elasticity() {
-    println!("== elasticity: 64 parked calls on a 2-worker mn server ==");
+    println!("== elasticity: 64 parked calls on a 2-worker server ==");
     let mut cfg = RpcConfig::rpcoib();
-    cfg.handler_runtime = HandlerRuntime::Mn;
-    cfg.handler_workers = 2;
+    cfg.handlers = 2;
     let (_fabric, server, client, service) = boot(&cfg);
     assert_eq!(ping(&client, &server, 0), 1);
 
@@ -181,7 +177,7 @@ fn elasticity() {
         .collect();
     let parks: u64 = workers.iter().map(|s| s.parks).sum();
     let wakes: u64 = workers.iter().map(|s| s.wakes).sum();
-    assert_eq!(workers.len(), 2, "the mn server mounts exactly 2 workers");
+    assert_eq!(workers.len(), 2, "the server mounts exactly 2 workers");
     assert!(
         parks >= PARKED as u64,
         "every slow call must have parked (saw {parks})"
@@ -269,7 +265,7 @@ fn priority() {
 }
 
 fn main() {
-    parity();
+    lone_caller();
     elasticity();
     priority();
     println!("mn_drill: all assertions held");
