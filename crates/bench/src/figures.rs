@@ -479,49 +479,29 @@ pub fn run_shards(opts: &RunOpts, git_rev: &str) -> Json {
 /// (Table I's heartbeat/getFileInfo class of calls).
 pub const SMALLCALL_PAYLOADS: &[usize] = &[1, 16, 64, 128];
 
-/// Figure: small-call latency with and without the interned hot path.
+/// Figure: small-call latency on the interned, allocation-free hot path.
 ///
-/// Every `(transport, payload)` cell runs twice: `legacy` re-enacts the
-/// pre-interning per-call metadata work and charges
-/// [`rpcoib::hostcost::legacy_call_ns`] to the client's ledger per call
-/// (the modeled cost of its owned key strings, fresh reply channel, and
-/// global-map lock rounds); `interned` is the shipped allocation-free
-/// path, which charges nothing. Calls repeat one payload size per cell —
-/// the Figure-3 locality regime, where the shadow pool's size history
-/// hits every time — so the delta isolates metadata cost. No link
-/// jitter: both modes then charge fully deterministic, directly
-/// comparable ledgers, and `improvement_bp` (basis points of the legacy
-/// p50 saved by interning) is exact.
+/// Calls repeat one payload size per `(transport, payload)` cell — the
+/// Figure-3 locality regime, where the shadow pool's size history hits
+/// every time — so the rows isolate per-call metadata cost. No link
+/// jitter: the ledger is fully deterministic. Rows keep the
+/// `{transport}_interned` key and `mode` field so they compare against
+/// the committed baseline.
 pub fn run_smallcall(opts: &RunOpts, git_rev: &str) -> Json {
     let warmup = opts.iters(10, 40);
     let iters = opts.iters(50, 250);
     let mut rows = Vec::new();
     for (label, cfg) in transports() {
         for &payload in SMALLCALL_PAYLOADS {
-            let mut legacy_p50 = 0u64;
-            for mode in ["legacy", "interned"] {
-                let mut cfg = cfg.clone();
-                cfg.rpc.legacy_metadata = mode == "legacy";
-                let env = boot(&cfg, opts.seed, None);
-                let mut samples = modeled_samples(&env, payload, warmup, iters);
-                samples.sort_unstable();
-                let p50 = percentile_ns(&samples, 0.50);
-                let row = Json::obj()
-                    .field("transport", format!("{label}_{mode}"))
-                    .field("payload", payload)
-                    .field("mode", mode);
-                let mut row = percentile_fields(row, &mut samples);
-                if mode == "legacy" {
-                    legacy_p50 = p50;
-                } else {
-                    let saved = legacy_p50.saturating_sub(p50);
-                    row = row
-                        .field("legacy_p50_ns", legacy_p50)
-                        .field("improvement_bp", saved * 10_000 / legacy_p50.max(1));
-                }
-                rows.push(row);
-                env.client.shutdown();
-            }
+            let env = boot(&cfg, opts.seed, None);
+            let mut samples = modeled_samples(&env, payload, warmup, iters);
+            samples.sort_unstable();
+            let row = Json::obj()
+                .field("transport", format!("{label}_interned"))
+                .field("payload", payload)
+                .field("mode", "interned");
+            rows.push(percentile_fields(row, &mut samples));
+            env.client.shutdown();
         }
     }
     Json::obj()
@@ -529,7 +509,6 @@ pub fn run_smallcall(opts: &RunOpts, git_rev: &str) -> Json {
         .field("seed", opts.seed)
         .field("quick", opts.quick)
         .field("jitter_ns", 0u64)
-        .field("legacy_call_ns", rpcoib::hostcost::legacy_call_ns())
         .field("git_rev", git_rev)
         .field("rows", Json::Arr(rows))
 }
@@ -552,11 +531,9 @@ const BATCH_DEPTH: usize = 8;
 /// Two kinds of rows, keyed by `point` only (so the `--check` gate never
 /// collides arms that share a payload):
 ///
-/// * `single_p{N}_{batch|nobatch}` — the Nagle-free guard: sequential
-///   single calls through the full engine with batching on vs off. A
-///   lone call never waits for company, so the two arms must charge the
-///   same ledger; the batch arm records the nobatch p50 and the delta in
-///   basis points (`p50_delta_bp`, expected 0).
+/// * `single_p{N}_batch` — the Nagle-free guard: sequential single calls
+///   through the full engine. A lone call never waits for company, so
+///   this row must not move when the batching layer changes.
 /// * `multi8_p{N}` — the multi-client point, measured at the transport
 ///   conn layer where it is deterministic: [`BATCH_DEPTH`] frames ready
 ///   at once (eight callers' worth) sent as K individual `send_msg`
@@ -572,32 +549,17 @@ pub fn run_batching(opts: &RunOpts, git_rev: &str) -> Json {
     let mut rows = Vec::new();
 
     for (label, cfg) in transports() {
-        // Part A: the single-call latency guard. No jitter, so both arms
-        // charge fully deterministic, directly comparable ledgers.
+        // Part A: the single-call latency guard. No jitter, so the ledger
+        // is fully deterministic.
         for &payload in BATCHING_PAYLOADS {
-            let mut nobatch_p50 = 0u64;
-            for arm in ["nobatch", "batch"] {
-                let mut cfg = cfg.clone();
-                cfg.rpc.wire_batch = arm == "batch";
-                let env = boot(&cfg, opts.seed, None);
-                let mut samples = modeled_samples(&env, payload, warmup, iters);
-                samples.sort_unstable();
-                let p50 = percentile_ns(&samples, 0.50);
-                let row = Json::obj()
-                    .field("transport", label)
-                    .field("point", format!("single_p{payload}_{arm}"));
-                let mut row = percentile_fields(row, &mut samples);
-                if arm == "nobatch" {
-                    nobatch_p50 = p50;
-                } else {
-                    let delta = p50.abs_diff(nobatch_p50);
-                    row = row
-                        .field("nobatch_p50_ns", nobatch_p50)
-                        .field("p50_delta_bp", delta * 10_000 / nobatch_p50.max(1));
-                }
-                rows.push(row);
-                env.client.shutdown();
-            }
+            let env = boot(&cfg, opts.seed, None);
+            let mut samples = modeled_samples(&env, payload, warmup, iters);
+            samples.sort_unstable();
+            let row = Json::obj()
+                .field("transport", label)
+                .field("point", format!("single_p{payload}_batch"));
+            rows.push(percentile_fields(row, &mut samples));
+            env.client.shutdown();
         }
 
         // Part B: the multi-client burst point. Engine-level coalescing
@@ -1217,16 +1179,6 @@ const BULK_PIPE_REGION: usize = 16 * 1024 * 1024;
 const BULK_PIPE_SLOTS: usize = 16;
 const BULK_PIPE_TRANSFERS: usize = 16;
 const BULK_PIPE_THREADS: usize = 4;
-/// Calls driven through the adaptive-crossover arm (Part C).
-const BULK_ADAPTIVE_CALLS: usize = 160;
-/// Small frame the adaptive arm learns about (log2 bucket 12, where the
-/// bulk path's flat surcharge over eager — the length-header write in
-/// the doorbell chain — clears the retune margin).
-const BULK_ADAPTIVE_LEN: usize = 5_000;
-/// Deliberately-wrong static threshold the adaptive arm starts from.
-const BULK_ADAPTIVE_START: usize = 2048;
-/// The bucket edge the controller must converge to for 5 kB frames.
-const BULK_ADAPTIVE_CONVERGED: usize = 8_191;
 
 /// Deterministic stage-pipeline makespan for [`BULK_PIPE_TRANSFERS`]
 /// large frames of `payload` bytes through a `slots`-slot ring over a
@@ -1316,11 +1268,6 @@ fn bulk_makespan(m: &simnet::NetworkModel, slots: usize, payload: usize, seg_lim
 /// * `pipe_p{N}` — the deterministic pipeline model: makespan of 16
 ///   pipelined transfers, one-deep versus 16 slots ([`bulk_makespan`]).
 ///   Acceptance: `speedup_bp >= 20000` (≥ 2×) on every payload.
-/// * `adaptive_crossover` — a live connection starting from a
-///   deliberately-wrong 2 KiB static threshold with
-///   `adaptive_rdma_threshold` on must relearn the eager/bulk switch
-///   point for 5 kB frames (the bucket edge 8191); the static control
-///   arm must not move at all.
 pub fn run_bulk(opts: &RunOpts, git_rev: &str) -> Json {
     use rpcoib::transport::Conn;
 
@@ -1438,61 +1385,6 @@ pub fn run_bulk(opts: &RunOpts, git_rev: &str) -> Json {
         );
     }
 
-    // Part C: the adaptive crossover recovers from a wrong static knob.
-    {
-        let drive = |adaptive: bool, calls: usize| -> usize {
-            let mut rpc = base.rpc.clone();
-            rpc.rdma_threshold = BULK_ADAPTIVE_START;
-            rpc.adaptive_rdma_threshold = adaptive;
-            let (_fabric, _cn, _sn, cli, srv, _cctx, _sctx) =
-                bulk_pair(base.model, &rpc, opts.seed);
-            let key = rpcoib::intern::method_key("bench.Bulk", "adaptive");
-            let cli2 = Arc::clone(&cli);
-            let progress = std::thread::spawn(move || loop {
-                match cli2.recv_msg(Duration::from_millis(50)) {
-                    Err(rpcoib::RpcError::Timeout) => continue,
-                    _ => return,
-                }
-            });
-            let srv2 = Arc::clone(&srv);
-            let drain = std::thread::spawn(move || {
-                for _ in 0..calls {
-                    srv2.recv_msg(Duration::from_secs(10))
-                        .expect("adaptive drain");
-                }
-            });
-            let body = vec![0x6b_u8; BULK_ADAPTIVE_LEN];
-            for _ in 0..calls {
-                cli.send_msg(key, &mut |out| out.write_bytes(&body))
-                    .expect("adaptive send");
-            }
-            drain.join().expect("drain thread");
-            let threshold = cli.crossover_threshold();
-            cli.close();
-            progress.join().expect("progress thread");
-            threshold
-        };
-        let converged = drive(true, BULK_ADAPTIVE_CALLS);
-        assert_eq!(
-            converged, BULK_ADAPTIVE_CONVERGED,
-            "adaptive crossover failed to converge to the 5 kB bucket edge"
-        );
-        let control = drive(false, 48);
-        assert_eq!(
-            control, BULK_ADAPTIVE_START,
-            "static control arm must not move"
-        );
-        rows.push(
-            Json::obj()
-                .field("point", "adaptive_crossover")
-                .field("calls", BULK_ADAPTIVE_CALLS as u64)
-                .field("frame_bytes", BULK_ADAPTIVE_LEN as u64)
-                .field("start_threshold", BULK_ADAPTIVE_START as u64)
-                .field("converged_threshold", converged as u64)
-                .field("static_control_threshold", control as u64),
-        );
-    }
-
     header("bulk", opts, git_rev).field("rows", Json::Arr(rows))
 }
 
@@ -1594,10 +1486,8 @@ fn conn_pair(
             Arc::new(srv),
         )
     } else {
-        let cli = SocketConn::new(cli_stream, wire::buffer::INITIAL_CAPACITY)
-            .with_batch(cfg.rpc.wire_batch);
-        let srv =
-            SocketConn::new(srv_stream, cfg.rpc.server_buffer_init).with_batch(cfg.rpc.wire_batch);
+        let cli = SocketConn::new(cli_stream, wire::buffer::INITIAL_CAPACITY);
+        let srv = SocketConn::new(srv_stream, cfg.rpc.server_buffer_init);
         (
             fabric,
             client_node,

@@ -6,7 +6,7 @@
 //! multi-tenant load that collapses — a single flooder fills the queue,
 //! every light tenant's calls either bounce or wait behind the flood, and
 //! handlers burn time executing calls whose callers have long since timed
-//! out. This queue replaces it with three mechanisms, each individually
+//! out. This queue replaces it with three mechanisms, the first two
 //! switchable from [`crate::RpcConfig`]:
 //!
 //! * **Per-tenant quotas** (`tenant_quota`): a tenant's outstanding calls
@@ -17,8 +17,8 @@
 //!   handlers pop in a deficit-round-robin sweep — a tenant with weight
 //!   `w` gets up to `w` pops per round, so backlog depth stops deciding
 //!   service order.
-//! * **Deadline shedding** (`deadline_propagation`): a call that carried
-//!   a deadline budget (see [`crate::frame`]) and outlived it while
+//! * **Deadline shedding** (always on): a call that carried a deadline
+//!   budget (see [`crate::frame`]) and outlived it while
 //!   queued is handed back in [`Popped::shed`] instead of
 //!   [`Popped::run`] — the server answers `STATUS_EXPIRED` and no
 //!   handler ever executes it.

@@ -33,12 +33,8 @@ use wire::Writable;
 
 use crate::config::RpcConfig;
 use crate::error::{RpcError, RpcResult};
-use crate::frame::{
-    read_response_header, write_request, Payload, ResponseHeader, ResponseStatus, V3Decoder,
-    V3Encoder,
-};
+use crate::frame::{Payload, ResponseHeader, ResponseStatus, V3Decoder, V3Encoder};
 use crate::handshake;
-use crate::hostcost;
 use crate::intern::{self, MethodKey};
 use crate::metrics::{
     CallProfile, MetricsRegistry, MetricsSnapshot, Phase, RecvProfile as MetricsRecv,
@@ -185,8 +181,8 @@ impl PendingTable {
 struct ClientConnection {
     conn: Arc<dyn Conn>,
     server: SimAddr,
-    /// Frame version negotiated in the connect handshake; `>= 3` switches
-    /// both directions of this connection to the compact header.
+    /// Frame version negotiated in the connect handshake (always V3: the
+    /// handshake refuses anything else).
     version: u8,
     /// V3 request-header encoder (delta seq + method table). Its state
     /// advances at the transport's wire-ordering point — `send_msg_ordered`
@@ -361,7 +357,7 @@ impl Client {
     }
 
     /// The stable identity this client presents at every connect
-    /// handshake (and in every V2 request frame).
+    /// handshake.
     pub fn client_id(&self) -> u64 {
         self.inner.client_id.load(Ordering::Acquire)
     }
@@ -613,16 +609,6 @@ impl Client {
             return Err(RpcError::ConnectionClosed);
         }
         let connection = self.get_connection(server)?;
-        let client_id = self.inner.client_id.load(Ordering::Acquire);
-        if self.inner.cfg.legacy_metadata {
-            // Ablation baseline: do the pre-interning metadata work for
-            // real (so allocation harnesses see it) and charge its
-            // modeled host cost to this node's ledger.
-            std::hint::black_box(hostcost::reenact_legacy_call(key.protocol(), key.method()));
-            self.inner
-                .fabric
-                .charge_host_ns(self.inner.node, hostcost::legacy_call_ns());
-        }
         let slot = connection.acquire_slot();
         let gen = slot.generation();
         connection.pending.insert(
@@ -645,39 +631,22 @@ impl Client {
         // connection's stateful encoder at the transport's wire-ordering
         // point (so delta-seq/method-table state advances in exactly the
         // order frames hit the wire), while the body serializes on this
-        // caller thread as before. V2 keeps the single-closure path.
-        let sent = if connection.version >= 3 {
-            // Deadline propagation: ship the attempt's remaining budget so
-            // the server can shed the call once it expires instead of
-            // executing work this client has already timed out on.
-            let budget = self
-                .inner
-                .cfg
-                .deadline_propagation
-                .then_some(attempt_timeout);
-            connection.conn.send_msg_ordered(
-                key,
-                &mut |out| {
-                    connection
-                        .enc
-                        .lock()
-                        .write_request_header(out, seq, retry_attempt, budget, key)
-                },
-                &mut |out| request.write(out),
-            )
-        } else {
-            connection.conn.send_msg(key, &mut |out| {
-                write_request(
+        // caller thread. The header carries the attempt's remaining
+        // budget, so the server can shed the call once it expires instead
+        // of executing work this client has already timed out on.
+        let sent = connection.conn.send_msg_ordered(
+            key,
+            &mut |out| {
+                connection.enc.lock().write_request_header(
                     out,
-                    client_id,
                     seq,
                     retry_attempt,
-                    key.protocol(),
-                    key.method(),
-                    request,
+                    Some(attempt_timeout),
+                    key,
                 )
-            })
-        };
+            },
+            &mut |out| request.write(out),
+        );
         let profile = match sent {
             Ok(p) => p,
             Err(e) => {
@@ -758,11 +727,8 @@ impl Client {
         // stream (including the RPCoIB endpoint exchange). Adopt the id
         // the server confirmed: for a client that presented 0 this is the
         // server-assigned identity it must re-present from now on.
-        let (version, confirmed) = handshake::client_hello(
-            &stream,
-            self.inner.client_id.load(Ordering::Acquire),
-            self.inner.cfg.max_wire_version,
-        )?;
+        let (version, confirmed) =
+            handshake::client_hello(&stream, self.inner.client_id.load(Ordering::Acquire))?;
         self.inner.client_id.store(confirmed, Ordering::Release);
         let conn: Arc<dyn Conn> = match &self.inner.ib {
             Some(ctx) => Arc::new(
@@ -771,7 +737,6 @@ impl Client {
             ),
             None => Arc::new(
                 SocketConn::new(stream, wire::buffer::INITIAL_CAPACITY)
-                    .with_batch(self.inner.cfg.wire_batch)
                     .with_metrics(self.inner.metrics.clone()),
             ),
         };
@@ -852,7 +817,7 @@ fn connection_loop(inner: std::sync::Weak<ClientInner>, connection: Arc<ClientCo
             connection.fail_all(RpcError::ConnectionClosed);
             return;
         };
-        (connection.version >= 3).then(|| V3Decoder::new(!strong.cfg.ib_enabled))
+        V3Decoder::new(!strong.cfg.ib_enabled)
     };
     loop {
         // Upgrade per iteration: if every user-facing Client handle is
@@ -881,11 +846,7 @@ fn connection_loop(inner: std::sync::Weak<ClientInner>, connection: Arc<ClientCo
         };
         let (header, body_offset) = {
             let mut reader = payload.reader();
-            let parsed = match dec.as_mut() {
-                Some(d) => d.read_response_header(&mut reader),
-                None => read_response_header(&mut reader),
-            };
-            match parsed {
+            match dec.read_response_header(&mut reader) {
                 Ok(h) => (h, reader.position()),
                 Err(_) => {
                     inner.invalidate(&connection);

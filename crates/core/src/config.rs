@@ -2,8 +2,9 @@
 //!
 //! The paper exposes a single switch, `rpc.ib.enabled`, plus a tunable
 //! small-message threshold that routes tiny payloads through send/recv and
-//! larger ones through RDMA. [`RpcConfig`] carries those and the knobs the
-//! ablation benchmarks sweep.
+//! larger ones through RDMA. [`RpcConfig`] carries those plus the engine's
+//! sizing, retry, QoS and connection-limit knobs; A/B control arms live in
+//! the bench harness and the tests, not here.
 
 use std::time::Duration;
 
@@ -40,7 +41,7 @@ pub struct RpcConfig {
     pub retry_cache_ttl: Duration,
     /// Maximum completed responses the server's retry cache holds; the
     /// oldest completed entry is evicted first. `0` disables at-most-once
-    /// caching entirely (every retry re-executes, pre-V2 behavior).
+    /// caching entirely (every retry re-executes).
     pub retry_cache_capacity: usize,
     /// Whether the shadow pool uses `<protocol, method>` size history
     /// (disabled only by the ablation).
@@ -62,10 +63,6 @@ pub struct RpcConfig {
     /// up to `large_slots` worth of frames can be in flight at once.
     /// `1` reproduces the original one-deep credit gate exactly.
     pub large_slots: usize,
-    /// Auto-tune the small/large crossover from live per-path cost
-    /// samples instead of the static `rdma_threshold` knob. Off by
-    /// default; `rdma_threshold` then seeds the adaptive starting point.
-    pub adaptive_rdma_threshold: bool,
     /// Record every call's serialized size in the metrics registry
     /// (needed by the Figure 3 harness; off by default — it allocates).
     pub trace_sizes: bool,
@@ -81,16 +78,6 @@ pub struct RpcConfig {
     /// connection id, preserving per-connection ordering. `0` = auto
     /// (currently 1, the paper's single-Responder behaviour).
     pub responder_shards: usize,
-    /// Opportunistic wire batching (on by default). Socket: calls that
-    /// queue behind an in-flight flush leave as one gathered write;
-    /// verbs: the responder's ready responses are merged into shared
-    /// completions. `false` restores strict one-frame-per-wire-op — the
-    /// control arm for the `batching` benchmark and the CI matrix.
-    pub wire_batch: bool,
-    /// Highest frame version this endpoint offers in the connect
-    /// handshake (see [`crate::handshake`]). Default is the build's
-    /// maximum; pin to 2 to emulate a previous-release peer.
-    pub max_wire_version: u8,
     /// Per-tenant weights for the weighted-fair admission plane, keyed by
     /// handshake `client_id`. A tenant absent from the list has weight 1;
     /// a tenant with weight `w` is served up to `w` calls per fair round.
@@ -103,12 +90,6 @@ pub struct RpcConfig {
     /// even while the global queue has room, so one flooder cannot own
     /// the whole call queue. `0` (default) disables per-tenant quotas.
     pub tenant_quota: usize,
-    /// Whether the client propagates its remaining per-attempt deadline
-    /// budget in V3 request headers and the server sheds queued calls
-    /// whose budget has expired (answered with `STATUS_EXPIRED`, never
-    /// executed). On by default; V2/V1 peers carry no budget and are
-    /// never shed regardless.
-    pub deadline_propagation: bool,
     /// Maximum connections the server keeps alive (live + in setup);
     /// connects past the limit are answered with the retryable busy
     /// rejection instead of growing the conn table without bound. `0`
@@ -137,13 +118,6 @@ pub struct RpcConfig {
     /// cannot starve heartbeats. Empty (default) = single class,
     /// seed-identical FIFO order.
     pub priority_protocols: Vec<String>,
-    /// Ablation baseline for the interned hot path: when `true` the
-    /// client re-enacts the pre-interning per-call metadata work (owned
-    /// key strings, a fresh reply channel) for real and charges
-    /// [`crate::hostcost::legacy_call_ns`] to its node's modeled-time
-    /// ledger on every attempt. Off by default — the normal path is
-    /// allocation-free and charges nothing.
-    pub legacy_metadata: bool,
 }
 
 /// Upper bound on explicit shard counts — far above any sane
@@ -178,22 +152,17 @@ impl Default for RpcConfig {
             posted_recvs: 32,
             large_region_bytes: 4 * 1024 * 1024,
             large_slots: 4,
-            adaptive_rdma_threshold: false,
             trace_sizes: false,
             server_buffer_init: 10 * 1024,
             reader_shards: 0,
             responder_shards: 0,
-            wire_batch: true,
-            max_wire_version: crate::handshake::MAX_VERSION,
             tenant_weights: Vec::new(),
             tenant_quota: 0,
-            deadline_propagation: true,
             max_connections: 0,
             accept_backlog: 64,
             max_inflight_calls: 0,
             reader_steal: false,
             priority_protocols: Vec::new(),
-            legacy_metadata: false,
         }
     }
 }
@@ -257,16 +226,6 @@ impl RpcConfig {
             return Err(format!(
                 "responder_shards ({}) exceeds the sanity cap ({MAX_SHARDS})",
                 self.responder_shards
-            ));
-        }
-        if !(crate::handshake::MIN_VERSION..=crate::handshake::MAX_VERSION)
-            .contains(&self.max_wire_version)
-        {
-            return Err(format!(
-                "max_wire_version ({}) outside the supported range {}..={}",
-                self.max_wire_version,
-                crate::handshake::MIN_VERSION,
-                crate::handshake::MAX_VERSION
             ));
         }
         self.retry.validate()?;
@@ -453,22 +412,6 @@ mod tests {
             ..RpcConfig::default()
         };
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn wire_version_bounds_enforced() {
-        for bad in [0u8, 1, crate::handshake::MAX_VERSION + 1] {
-            let cfg = RpcConfig {
-                max_wire_version: bad,
-                ..RpcConfig::default()
-            };
-            assert!(cfg.validate().is_err(), "version {bad} must be rejected");
-        }
-        let cfg = RpcConfig {
-            max_wire_version: 2,
-            ..RpcConfig::default()
-        };
-        cfg.validate().unwrap();
     }
 
     #[test]

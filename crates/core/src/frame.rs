@@ -1,20 +1,14 @@
 //! Frame layout shared by both transports.
 //!
-//! Three frame versions coexist. **V2** carries the at-most-once
-//! identity triple — a per-client id, a wrap-safe `i64` sequence number,
-//! and the retry attempt — so the server's retry cache can recognize a
-//! re-sent call:
-//!
-//! * request: `[i32 V2_SENTINEL][u64 client_id][i64 seq][vlong retry_attempt]
-//!   [Text protocol][Text method][param …]`
-//! * response: `[i32 V2_SENTINEL][i64 seq][u8 status][value … | Text error]`
-//!
-//! **V3** (current, handshake-negotiated) is the compact header the
-//! wire-batching layer rides on. It is *connection-scoped*: the
-//! handshake fixes the version for the whole connection, so frames carry
-//! no per-frame version marker, and the client id travels once in the
-//! handshake instead of in every request. Encode/decode state lives in a
-//! [`V3Encoder`]/[`V3Decoder`] pair per connection direction:
+//! Two frame versions exist. **V3** is what every client of this build
+//! speaks: the compact header the wire-batching layer rides on, carrying
+//! the at-most-once identity (a wrap-safe `i64` sequence number and the
+//! retry attempt; the client id travels once, in the connect handshake)
+//! so the server's retry cache can recognize a re-sent call. It is
+//! *connection-scoped*: the handshake fixes the version for the whole
+//! connection, so frames carry no per-frame version marker.
+//! Encode/decode state lives in a [`V3Encoder`]/[`V3Decoder`] pair per
+//! connection direction:
 //!
 //! * request: `[vlong seq_field][vlong retry_attempt][vlong deadline_µs]
 //!   [vlong method_ref]([Text protocol][Text method])?[param …]`
@@ -23,8 +17,7 @@
 //! `deadline_µs` is the caller's remaining per-attempt deadline budget in
 //! microseconds (`0` = none): the admission plane sheds a queued call
 //! once that budget has elapsed instead of executing it (see
-//! [`STATUS_EXPIRED`]). V2/V1 requests carry no budget and are never
-//! shed.
+//! [`STATUS_EXPIRED`]). V1 requests carry no budget and are never shed.
 //!
 //! In **stateful** mode (stream transports, where a lost byte kills the
 //! connection and its codec state with it) `seq_field` is the wrapping
@@ -35,17 +28,15 @@
 //! a frame without killing the connection) every frame decodes alone:
 //! `seq_field` is the absolute seq and the method strings ride inline.
 //!
-//! **V1** (previous release) is still *decoded* for one release so an old
-//! peer keeps working — the server's connect-time magic sniff (see
+//! **V1** is the stock-Hadoop framing the paper's baseline speaks. The
+//! server still *decodes* it: the connect-time magic sniff (see
 //! [`crate::handshake`]) lets a pre-handshake peer straight through to
-//! this framing layer — and the server answers a V1 request with a V1
-//! response:
+//! this framing layer, and the server answers a V1 request with a V1
+//! response. V1 peers have no client identity, so they get no retry
+//! caching:
 //!
 //! * request: `[i32 call_id][Text protocol][Text method][param …]`
 //! * response: `[i32 call_id][u8 status][value … | Text error]`
-//!
-//! The version marker is an `i32` sentinel (`-2`) in the position where V1
-//! kept its non-negative `call_id`, so one 4-byte read disambiguates.
 //!
 //! On the socket transport each payload is preceded by a 4-byte big-endian
 //! length (Hadoop's `out.writeInt(dataLength)`); on the RDMA transport the
@@ -65,27 +56,21 @@ pub const STATUS_OK: u8 = 0;
 /// Response status byte: the server reports an error string.
 pub const STATUS_ERROR: u8 = 1;
 /// Response status byte: the server's call queue is full; the call was
-/// never executed and is safe to retry (V2 only).
+/// never executed and is safe to retry (V3 only).
 pub const STATUS_BUSY: u8 = 2;
 /// Response status byte: the call's propagated deadline budget expired
 /// while it was queued, so the server shed it without executing it.
 /// Retrying is pointless — the caller's deadline has passed — so clients
-/// classify this as a non-retryable deadline failure (V2/V3 only).
+/// classify this as a non-retryable deadline failure (V3 only).
 pub const STATUS_EXPIRED: u8 = 3;
 
-/// Marker in the leading `i32` slot distinguishing a V2 frame from a V1
-/// frame (whose call ids are non-negative).
-pub const V2_SENTINEL: i32 = -2;
-
-/// Frame wire version. V1/V2 are detected per message from the leading
-/// `i32`; V3 is fixed per connection by the handshake (no in-band
-/// marker), so the transport layer tags V3 frames out of band.
+/// Frame wire version, fixed per connection: the handshake selects V3,
+/// and a peer that skips the handshake speaks V1. Frames carry no
+/// in-band version marker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameVersion {
-    /// `[i32 call_id]`-headed frames from the previous release.
+    /// `[i32 call_id]`-headed stock-Hadoop frames.
     V1,
-    /// Frames carrying the at-most-once identity triple in-band.
-    V2,
     /// Compact connection-scoped headers (see [`V3Encoder`]).
     V3,
 }
@@ -106,7 +91,7 @@ pub struct RequestHeader {
     /// handle instead of owned `String`s.
     pub key: MethodKey,
     /// Remaining per-attempt deadline budget propagated by the caller
-    /// (V3 only; `None` for V2/V1 peers and for callers with no
+    /// (V3 only; `None` for V1 peers and for callers with no
     /// deadline). The admission plane sheds the call once this much time
     /// has passed since admission.
     pub deadline_budget: Option<Duration>,
@@ -124,30 +109,9 @@ impl RequestHeader {
     }
 }
 
-/// Serialize a V2 request frame body (everything after the length prefix).
-pub fn write_request(
-    out: &mut dyn DataOutput,
-    client_id: u64,
-    seq: i64,
-    retry_attempt: u32,
-    protocol: &str,
-    method: &str,
-    param: &dyn Writable,
-) -> io::Result<()> {
-    out.write_i32(V2_SENTINEL)?;
-    out.write_u64(client_id)?;
-    out.write_i64(seq)?;
-    // vlong, not `as i32` vint: an attempt count above i32::MAX would
-    // silently go negative on the wire and round-trip to a different
-    // value. The encodings are byte-identical for in-range values.
-    out.write_vlong(i64::from(retry_attempt))?;
-    out.write_string(protocol)?;
-    out.write_string(method)?;
-    param.write(out)
-}
-
-/// Serialize a V1 request frame body. Kept (for one release) so the
-/// old-peer decode path stays exercised; new code writes V2.
+/// Serialize a V1 request frame body: what a stock-Hadoop peer sends.
+/// The engine's client never writes V1; this keeps the server's V1
+/// decode path exercised.
 pub fn write_request_v1(
     out: &mut dyn DataOutput,
     call_id: i32,
@@ -251,41 +215,27 @@ fn read_method_key(input: &mut dyn DataInput) -> io::Result<MethodKey> {
     Ok(intern::method_key(protocol, method))
 }
 
-/// Parse the header of a request frame (either version); the param bytes
-/// follow in `input`.
+/// Parse the header of a V1 request frame; the param bytes follow in
+/// `input`. (V3 requests decode through the connection's [`V3Decoder`].)
 pub fn read_request_header(input: &mut dyn DataInput) -> io::Result<RequestHeader> {
     let lead = input.read_i32()?;
-    if lead == V2_SENTINEL {
-        let client_id = input.read_u64()?;
-        let seq = input.read_i64()?;
-        let retry_attempt = read_retry_attempt(input)?;
-        Ok(RequestHeader {
-            version: FrameVersion::V2,
-            client_id,
-            seq,
-            retry_attempt,
-            key: read_method_key(input)?,
-            deadline_budget: None,
-        })
-    } else {
-        if lead < 0 {
-            // V1 call ids are non-negative; any other negative lead is
-            // garbage (and would be unanswerable — the V1 response path
-            // rejects out-of-range ids).
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("invalid V1 call id {lead}"),
-            ));
-        }
-        Ok(RequestHeader {
-            version: FrameVersion::V1,
-            client_id: 0,
-            seq: lead as i64,
-            retry_attempt: 0,
-            key: read_method_key(input)?,
-            deadline_budget: None,
-        })
+    if lead < 0 {
+        // V1 call ids are non-negative; a negative lead is garbage (and
+        // would be unanswerable — the V1 response path rejects
+        // out-of-range ids).
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("invalid V1 call id {lead}"),
+        ));
     }
+    Ok(RequestHeader {
+        version: FrameVersion::V1,
+        client_id: 0,
+        seq: lead as i64,
+        retry_attempt: 0,
+        key: read_method_key(input)?,
+        deadline_budget: None,
+    })
 }
 
 /// Serialize the version-neutral tail of a response:
@@ -309,9 +259,9 @@ pub fn write_response_body(
     }
 }
 
-/// The version-neutral body of a busy rejection. V2/V3 clients get the
-/// bare `STATUS_BUSY` byte (retryable, never executed); a V1 peer cannot
-/// parse status 2, so it gets an ordinary error string.
+/// The version-neutral body of a busy rejection. V3 clients get the bare
+/// `STATUS_BUSY` byte (retryable, never executed); a V1 peer cannot parse
+/// status 2, so it gets an ordinary error string.
 pub fn busy_body(version: FrameVersion) -> Vec<u8> {
     match version {
         FrameVersion::V1 => {
@@ -320,16 +270,15 @@ pub fn busy_body(version: FrameVersion) -> Vec<u8> {
                 .expect("vec write");
             out
         }
-        FrameVersion::V2 | FrameVersion::V3 => vec![STATUS_BUSY],
+        FrameVersion::V3 => vec![STATUS_BUSY],
     }
 }
 
 /// The version-neutral body of a deadline shed. Only V3 requests carry a
-/// budget, so only V3-capable clients can ever be shed — but a parked
-/// *duplicate* of a shed call may sit on a V2 connection, and a V1 peer
-/// can never reach this path at all (no client identity, no cache entry,
-/// no budget). V2/V3 clients both parse the bare `STATUS_EXPIRED` byte;
-/// the V1 arm exists for layout symmetry with [`busy_body`].
+/// budget, so only V3 clients can ever be shed; they parse the bare
+/// `STATUS_EXPIRED` byte. A V1 peer can never reach this path (no client
+/// identity, no cache entry, no budget); its arm exists for layout
+/// symmetry with [`busy_body`].
 pub fn expired_body(version: FrameVersion) -> Vec<u8> {
     match version {
         FrameVersion::V1 => {
@@ -338,13 +287,13 @@ pub fn expired_body(version: FrameVersion) -> Vec<u8> {
                 .expect("vec write");
             out
         }
-        FrameVersion::V2 | FrameVersion::V3 => vec![STATUS_EXPIRED],
+        FrameVersion::V3 => vec![STATUS_EXPIRED],
     }
 }
 
 /// Serialize a full response frame in `version`'s layout (a server
 /// answers each request in the version it arrived in). V3 leads need the
-/// connection's [`V3Encoder`]; this stateless helper serves V1/V2.
+/// connection's [`V3Encoder`]; this stateless helper serves V1.
 pub fn write_response(
     out: &mut dyn DataOutput,
     version: FrameVersion,
@@ -355,7 +304,7 @@ pub fn write_response(
     write_response_body(out, result)
 }
 
-/// Serialize a busy-rejection response (stateless V1/V2 form).
+/// Serialize a busy-rejection response (stateless V1 form).
 pub fn write_busy_response(
     out: &mut dyn DataOutput,
     version: FrameVersion,
@@ -373,10 +322,6 @@ pub(crate) fn write_response_lead(
     seq: i64,
 ) -> io::Result<()> {
     match version {
-        FrameVersion::V2 => {
-            out.write_i32(V2_SENTINEL)?;
-            out.write_i64(seq)
-        }
         FrameVersion::V1 => {
             // V1 call ids are non-negative i32s; request decode enforces
             // this, but a silent `as i32` truncation here would corrupt
@@ -442,18 +387,13 @@ fn read_status(input: &mut dyn DataInput) -> io::Result<ResponseStatus> {
     }
 }
 
-/// Parse a response frame header (V1 or V2; V3 responses decode through
-/// the connection's [`V3Decoder`]).
+/// Parse a V1 response frame header (V3 responses decode through the
+/// connection's [`V3Decoder`]).
 pub fn read_response_header(input: &mut dyn DataInput) -> io::Result<ResponseHeader> {
-    let lead = input.read_i32()?;
-    let (version, seq) = if lead == V2_SENTINEL {
-        (FrameVersion::V2, input.read_i64()?)
-    } else {
-        (FrameVersion::V1, lead as i64)
-    };
+    let seq = i64::from(input.read_i32()?);
     let status = read_status(input)?;
     Ok(ResponseHeader {
-        version,
+        version: FrameVersion::V1,
         seq,
         status,
     })
@@ -790,37 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_request_roundtrip() {
-        let mut buf: Vec<u8> = Vec::new();
-        write_request(
-            &mut buf,
-            0xdead_beef,
-            (i32::MAX as i64) + 17,
-            3,
-            "hdfs.ClientProtocol",
-            "getFileInfo",
-            &Text::from("/a/b"),
-        )
-        .unwrap();
-        let mut input = buf.as_slice();
-        let header = read_request_header(&mut input).unwrap();
-        assert_eq!(header.version, FrameVersion::V2);
-        assert_eq!(header.client_id, 0xdead_beef);
-        assert_eq!(header.seq, (i32::MAX as i64) + 17);
-        assert_eq!(header.retry_attempt, 3);
-        assert_eq!(header.protocol(), "hdfs.ClientProtocol");
-        assert_eq!(header.method(), "getFileInfo");
-        assert_eq!(
-            header.key,
-            crate::intern::method_key("hdfs.ClientProtocol", "getFileInfo"),
-            "decode resolves to the process-wide interned key"
-        );
-        let mut param = Text::default();
-        param.read_fields(&mut input).unwrap();
-        assert_eq!(param.0, "/a/b");
-    }
-
-    #[test]
     fn v1_request_still_decodes() {
         let mut buf: Vec<u8> = Vec::new();
         write_request_v1(
@@ -839,40 +748,51 @@ mod tests {
         assert_eq!(header.retry_attempt, 0);
         assert_eq!(header.protocol(), "hdfs.ClientProtocol");
         assert_eq!(header.method(), "getFileInfo");
+        assert_eq!(
+            header.key,
+            crate::intern::method_key("hdfs.ClientProtocol", "getFileInfo"),
+            "decode resolves to the process-wide interned key"
+        );
         let mut param = Text::default();
         param.read_fields(&mut input).unwrap();
         assert_eq!(param.0, "/a/b");
     }
 
     #[test]
-    fn ok_response_roundtrip_both_versions() {
-        for version in [FrameVersion::V1, FrameVersion::V2] {
-            let mut buf: Vec<u8> = Vec::new();
-            write_response(&mut buf, version, 5, Ok(&IntWritable(99))).unwrap();
-            let mut input = buf.as_slice();
-            let header = read_response_header(&mut input).unwrap();
-            assert!(header.ok());
-            assert_eq!(header.version, version);
-            assert_eq!(header.seq, 5);
-            let mut v = IntWritable::default();
-            v.read_fields(&mut input).unwrap();
-            assert_eq!(v.0, 99);
-        }
+    fn ok_response_roundtrip() {
+        let mut buf: Vec<u8> = Vec::new();
+        write_response(&mut buf, FrameVersion::V1, 5, Ok(&IntWritable(99))).unwrap();
+        let mut input = buf.as_slice();
+        let header = read_response_header(&mut input).unwrap();
+        assert!(header.ok());
+        assert_eq!(header.version, FrameVersion::V1);
+        assert_eq!(header.seq, 5);
+        let mut v = IntWritable::default();
+        v.read_fields(&mut input).unwrap();
+        assert_eq!(v.0, 99);
     }
 
     #[test]
-    fn v2_response_carries_i64_seq() {
+    fn v3_response_carries_i64_seq() {
         let seq = (i32::MAX as i64) + 1;
-        let mut buf: Vec<u8> = Vec::new();
-        write_response(&mut buf, FrameVersion::V2, seq, Ok(&IntWritable(1))).unwrap();
-        let mut input = buf.as_slice();
-        assert_eq!(read_response_header(&mut input).unwrap().seq, seq);
+        for stateful in [true, false] {
+            let mut buf: Vec<u8> = Vec::new();
+            V3Encoder::new(stateful)
+                .write_response_lead(&mut buf, seq)
+                .unwrap();
+            write_response_body(&mut buf, Ok(&IntWritable(1))).unwrap();
+            let mut input = buf.as_slice();
+            let header = V3Decoder::new(stateful)
+                .read_response_header(&mut input)
+                .unwrap();
+            assert_eq!(header.seq, seq, "stateful={stateful}");
+        }
     }
 
     #[test]
     fn error_response_roundtrip() {
         let mut buf: Vec<u8> = Vec::new();
-        write_response(&mut buf, FrameVersion::V2, 6, Err("file not found")).unwrap();
+        write_response(&mut buf, FrameVersion::V1, 6, Err("file not found")).unwrap();
         let mut input = buf.as_slice();
         let header = read_response_header(&mut input).unwrap();
         assert_eq!(header.status, ResponseStatus::Error);
@@ -884,9 +804,14 @@ mod tests {
     #[test]
     fn busy_response_roundtrip() {
         let mut buf: Vec<u8> = Vec::new();
-        write_busy_response(&mut buf, FrameVersion::V2, 9).unwrap();
+        V3Encoder::new(true)
+            .write_response_lead(&mut buf, 9)
+            .unwrap();
+        buf.extend_from_slice(&busy_body(FrameVersion::V3));
         let mut input = buf.as_slice();
-        let header = read_response_header(&mut input).unwrap();
+        let header = V3Decoder::new(true)
+            .read_response_header(&mut input)
+            .unwrap();
         assert_eq!(header.status, ResponseStatus::Busy);
         assert_eq!(header.seq, 9);
         assert_eq!(input.len(), 0, "busy responses carry no body");
@@ -929,11 +854,16 @@ mod tests {
     fn retry_attempt_roundtrips_across_the_i32_boundary() {
         // Regression: `retry_attempt as i32` through the signed vint path
         // flipped counts above i32::MAX negative on the wire.
+        let key = crate::intern::method_key("p", "m");
         for attempt in [0u32, 1, i32::MAX as u32, (i32::MAX as u32) + 1, u32::MAX] {
             let mut buf: Vec<u8> = Vec::new();
-            write_request(&mut buf, 7, 1, attempt, "p", "m", &IntWritable(0)).unwrap();
+            V3Encoder::new(false)
+                .write_request_header(&mut buf, 1, attempt, None, key)
+                .unwrap();
             let mut input = buf.as_slice();
-            let header = read_request_header(&mut input).unwrap();
+            let header = V3Decoder::new(false)
+                .read_request_header(&mut input, 7)
+                .unwrap();
             assert_eq!(header.retry_attempt, attempt, "attempt {attempt}");
         }
     }
@@ -942,14 +872,16 @@ mod tests {
     fn out_of_range_retry_attempt_is_invalid_data() {
         for raw in [-1i64, i64::from(u32::MAX) + 1, i64::MIN] {
             let mut buf: Vec<u8> = Vec::new();
-            buf.write_i32(V2_SENTINEL).unwrap();
-            buf.write_u64(7).unwrap();
-            buf.write_i64(1).unwrap();
-            buf.write_vlong(raw).unwrap();
+            buf.write_vlong(1).unwrap(); // seq
+            buf.write_vlong(raw).unwrap(); // retry attempt
+            buf.write_vlong(0).unwrap(); // no deadline
+            buf.write_vlong(MREF_INLINE).unwrap();
             buf.write_string("p").unwrap();
             buf.write_string("m").unwrap();
             let mut input = buf.as_slice();
-            let err = read_request_header(&mut input).unwrap_err();
+            let err = V3Decoder::new(false)
+                .read_request_header(&mut input, 7)
+                .unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "raw {raw}");
         }
     }
@@ -1111,18 +1043,8 @@ mod tests {
 
     #[test]
     fn expired_response_roundtrip() {
-        // V2 lead + neutral expired body: what a parked duplicate on a V2
-        // connection receives when the original call is shed.
-        let mut buf: Vec<u8> = Vec::new();
-        write_response_lead(&mut buf, FrameVersion::V2, 9).unwrap();
-        buf.extend_from_slice(&expired_body(FrameVersion::V2));
-        let mut input = buf.as_slice();
-        let header = read_response_header(&mut input).unwrap();
-        assert_eq!(header.status, ResponseStatus::Expired);
-        assert_eq!(header.seq, 9);
-        assert_eq!(input.len(), 0, "expired responses carry no body");
-
-        // V3 lead + the same neutral body.
+        // V3 lead + the neutral expired body: what the caller and any
+        // parked duplicate receive when the original call is shed.
         let mut enc = V3Encoder::new(true);
         let mut dec = V3Decoder::new(true);
         let mut buf: Vec<u8> = Vec::new();
@@ -1132,6 +1054,7 @@ mod tests {
         let header = dec.read_response_header(&mut input).unwrap();
         assert_eq!(header.status, ResponseStatus::Expired);
         assert_eq!(header.seq, 5);
+        assert_eq!(input.len(), 0, "expired responses carry no body");
 
         // A V1 peer would see an ordinary error string.
         let mut buf: Vec<u8> = Vec::new();

@@ -7,8 +7,9 @@
 //! *negotiated* version (`min(peer, MAX_VERSION)`) and the identity the
 //! connection will speak under. Both sides then frame every message on
 //! that connection in the negotiated version, which is how the V3
-//! compact header gets turned on without any per-frame marker: a V2 peer
-//! offers 2, is acked 2, and never sees a V3 byte.
+//! compact header gets turned on without any per-frame marker. V3 is the
+//! only version the handshake negotiates: a hello offering less is
+//! refused as a protocol error.
 //!
 //! The `client_id` keys the server's retry cache, so it must be stable
 //! across reconnects of one client and unique among all clients a server
@@ -17,17 +18,16 @@
 //! a server-assigned id in the ack ("handed out at connect handshake"),
 //! which it adopts and re-presents on subsequent connects.
 //!
-//! **Legacy (pre-handshake) peers.** The handshake only exists since
-//! frame V2, so the server *sniffs* rather than demands it: it peeks at
-//! the connection's first four bytes, and anything but the magic is
-//! pushed back onto the stream and the connection proceeds exactly as in
-//! the previous release — straight to the frame (socket) or verbs
-//! endpoint exchange (RPCoIB), with no client identity and therefore no
-//! retry caching. That keeps an old client working against a new server
-//! for one release; the reverse direction (new client, old server) is
-//! not supported, because an old server would read the hello as frame
-//! bytes. A truly garbage peer passes the sniff as "legacy" and is then
-//! rejected one layer down, when its bytes fail to parse as a frame.
+//! **Legacy (pre-handshake) peers.** A stock-Hadoop peer speaks V1 and
+//! sends no hello, so the server *sniffs* rather than demands one: it
+//! peeks at the connection's first four bytes, and anything but the magic
+//! is pushed back onto the stream and the connection proceeds straight to
+//! the V1 frame (socket) or verbs endpoint exchange (RPCoIB), with no
+//! client identity and therefore no retry caching. The reverse direction
+//! (this client, a V1-only server) is not supported, because such a
+//! server would read the hello as frame bytes. A truly garbage peer
+//! passes the sniff as "legacy" and is then rejected one layer down, when
+//! its bytes fail to parse as a frame.
 //! (The sniff is ambiguous only if a legacy frame's length prefix equals
 //! the magic — a 1.3 GB frame, far beyond any real call.)
 
@@ -40,20 +40,20 @@ use crate::error::{RpcError, RpcResult};
 /// `b"RPCB"` — first bytes on every connection.
 pub const MAGIC: u32 = 0x5250_4342;
 
-/// Lowest version the handshake can negotiate (the handshake itself
-/// only exists since V2; pre-V2 peers take the Legacy sniff path).
-pub const MIN_VERSION: u8 = 2;
+/// Lowest version the handshake can negotiate; V1 peers send no hello
+/// and take the Legacy sniff path.
+pub const MIN_VERSION: u8 = 3;
 
 /// Highest frame/wire version this build speaks (see [`crate::frame`]).
 pub const MAX_VERSION: u8 = 3;
 
-/// Client side: offer versions up to `max_version` and present
+/// Client side: offer versions up to [`MAX_VERSION`] and present
 /// `client_id` (0 = please assign one). Returns the negotiated version
 /// and the id the server confirmed or assigned.
-pub fn client_hello(stream: &SimStream, client_id: u64, max_version: u8) -> RpcResult<(u8, u64)> {
+pub fn client_hello(stream: &SimStream, client_id: u64) -> RpcResult<(u8, u64)> {
     let mut hello = [0u8; 13];
     hello[..4].copy_from_slice(&MAGIC.to_be_bytes());
-    hello[4] = max_version;
+    hello[4] = MAX_VERSION;
     hello[5..].copy_from_slice(&client_id.to_be_bytes());
     (&*stream)
         .write_all(&hello)
@@ -70,9 +70,10 @@ pub fn client_hello(stream: &SimStream, client_id: u64, max_version: u8) -> RpcR
         // setup. Retryable — the client backs off and reconnects.
         return Err(RpcError::ServerBusy);
     }
-    if !(MIN_VERSION..=max_version).contains(&version) {
+    if !(MIN_VERSION..=MAX_VERSION).contains(&version) {
         return Err(RpcError::Protocol(format!(
-            "server negotiated frame version {version}, this client speaks {MIN_VERSION}..={max_version}"
+            "server negotiated frame version {version}, this client speaks \
+             {MIN_VERSION}..={MAX_VERSION}"
         )));
     }
     let confirmed = u64::from_be_bytes(ack[1..9].try_into().unwrap());
@@ -120,8 +121,8 @@ pub fn server_accept(stream: &SimStream, assign: impl FnOnce() -> u64) -> RpcRes
         .map_err(|e| RpcError::Io(e.to_string()))?;
     let peer_version = rest[0];
     if peer_version < MIN_VERSION {
-        // The handshake itself only exists since V2 — a peer that sends
-        // it speaks at least V2 (pre-V2 peers take the Legacy path).
+        // A peer that sends the hello must speak at least V3; V1 peers
+        // send none and take the Legacy path.
         return Err(RpcError::Protocol(format!(
             "unsupported peer frame version {peer_version}"
         )));
@@ -179,7 +180,7 @@ mod tests {
     #[test]
     fn presented_id_is_confirmed_at_max_version() {
         let (cli, srv) = stream_pair();
-        let h = thread::spawn(move || client_hello(&cli, 0xfeed, MAX_VERSION).unwrap());
+        let h = thread::spawn(move || client_hello(&cli, 0xfeed).unwrap());
         let seen = server_accept(&srv, || panic!("must not assign")).unwrap();
         assert_eq!(
             seen,
@@ -189,22 +190,6 @@ mod tests {
             }
         );
         assert_eq!(h.join().unwrap(), (MAX_VERSION, 0xfeed));
-    }
-
-    #[test]
-    fn v2_peer_negotiates_down_to_v2() {
-        let (cli, srv) = stream_pair();
-        let h = thread::spawn(move || client_hello(&cli, 0xfeed, 2).unwrap());
-        let seen = server_accept(&srv, || panic!("must not assign")).unwrap();
-        assert_eq!(
-            seen,
-            ServerHello::Modern {
-                version: 2,
-                client_id: 0xfeed
-            },
-            "the server must never ack a version above the peer's offer"
-        );
-        assert_eq!(h.join().unwrap(), (2, 0xfeed));
     }
 
     #[test]
@@ -235,7 +220,7 @@ mod tests {
     #[test]
     fn zero_id_gets_assigned() {
         let (cli, srv) = stream_pair();
-        let h = thread::spawn(move || client_hello(&cli, 0, MAX_VERSION).unwrap());
+        let h = thread::spawn(move || client_hello(&cli, 0).unwrap());
         let seen = server_accept(&srv, || 777).unwrap();
         assert_eq!(
             seen,
@@ -272,7 +257,7 @@ mod tests {
     #[test]
     fn busy_ack_maps_to_retryable_server_busy() {
         let (cli, srv) = stream_pair();
-        let h = thread::spawn(move || client_hello(&cli, 0xfeed, MAX_VERSION));
+        let h = thread::spawn(move || client_hello(&cli, 0xfeed));
         // The listener's refusal: the 9-byte ack with version byte 0,
         // written without reading the hello.
         (&srv).write_all(&[0u8; 9]).unwrap();
@@ -284,17 +269,20 @@ mod tests {
 
     #[test]
     fn magic_with_unsupported_version_is_a_protocol_error() {
-        let (cli, srv) = stream_pair();
-        let h = thread::spawn(move || {
-            use std::io::Write;
-            let mut hello = [0u8; 13];
-            hello[..4].copy_from_slice(&MAGIC.to_be_bytes());
-            hello[4] = 1; // claims a version predating the handshake
-            (&cli).write_all(&hello).unwrap();
-        });
-        let err = server_accept(&srv, || 1).unwrap_err();
-        assert!(matches!(err, RpcError::Protocol(_)), "{err}");
-        h.join().unwrap();
+        // Both sit below the only version the handshake negotiates.
+        for offered in [1u8, 2] {
+            let (cli, srv) = stream_pair();
+            let h = thread::spawn(move || {
+                use std::io::Write;
+                let mut hello = [0u8; 13];
+                hello[..4].copy_from_slice(&MAGIC.to_be_bytes());
+                hello[4] = offered;
+                (&cli).write_all(&hello).unwrap();
+            });
+            let err = server_accept(&srv, || 1).unwrap_err();
+            assert!(matches!(err, RpcError::Protocol(_)), "{offered}: {err}");
+            h.join().unwrap();
+        }
     }
 
     #[test]

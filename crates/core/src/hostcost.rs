@@ -1,46 +1,12 @@
-//! Deterministic host-side metadata cost model.
+//! Deterministic host-side cost model.
 //!
 //! The simnet ledger charges *network* costs (stack traversal, wire time,
 //! propagation) from the calibrated [`simnet::NetworkModel`]s; host-side
-//! software costs — managed-heap allocation, lock acquisition — are
-//! normally real wall-clock effects the ledger does not see. That is fine
-//! while both designs under comparison do the same host work, but the
-//! whole point of the interned hot path is that it *stops* doing that
-//! work. To make the saving visible in the deterministic, replayable
-//! bench figures, [`RpcConfig::legacy_metadata`](crate::RpcConfig) mode
-//! re-enacts the pre-interning metadata path for real **and** charges the
-//! caller's ledger with the constants below, one bundle per call.
-//!
-//! The constants are deliberately conservative round numbers in the range
-//! reported for managed-runtime RPC stacks (the paper's §III measures
-//! whole-buffer allocation at tens of microseconds; a single small
-//! object allocation plus zeroing is ~100 ns on the paper's Westmere-era
-//! hosts, an uncontended lock round-trip ~50 ns). The interned path
-//! charges nothing: its metadata cost is a few relaxed atomic adds,
-//! below the model's resolution.
-
-/// Modeled cost of one managed small-object heap allocation (allocate +
-/// zero + eventual collection amortized).
-pub const MANAGED_ALLOC_NS: u64 = 110;
-
-/// Modeled cost of one uncontended lock acquire/release round.
-pub const LOCK_ROUND_NS: u64 = 45;
-
-/// Heap allocations the pre-interning metadata path performed per call:
-/// two owned key `String`s in the pending-call entry, two more cloned
-/// into the metrics key, the per-call one-shot reply channel (channel
-/// block + queue node), and the response-side key clones.
-pub const LEGACY_ALLOCS_PER_CALL: u64 = 8;
-
-/// Lock rounds the pre-interning path took per call: the global metrics
-/// stats map (call + recv + two phase records), the single pending-table
-/// mutex (insert + remove), and the trace flag.
-pub const LEGACY_LOCKS_PER_CALL: u64 = 6;
-
-/// The per-call ledger charge applied in legacy-metadata mode.
-pub const fn legacy_call_ns() -> u64 {
-    LEGACY_ALLOCS_PER_CALL * MANAGED_ALLOC_NS + LEGACY_LOCKS_PER_CALL * LOCK_ROUND_NS
-}
+//! software costs are normally real wall-clock effects the ledger does
+//! not see. The one host cost the modeled ledger does carry is the copy
+//! the one-sided bulk plane keeps: draining a received large frame out of
+//! the registered region, charged to the receiver per drained byte so
+//! the bulk figures stay deterministic and replayable.
 
 /// Modeled host memcpy bandwidth for draining a received large frame out
 /// of the registered region into a pooled buffer, ~10 GB/s (a single
@@ -54,30 +20,9 @@ pub const fn drain_ns(len: usize) -> u64 {
     (len as u64).div_ceil(DRAIN_BYTES_PER_NS)
 }
 
-/// Re-enact the pre-interning metadata heap traffic for real — exactly
-/// [`LEGACY_ALLOCS_PER_CALL`] boxed allocations of the call's key
-/// strings — so allocation-counting harnesses observe the legacy path's
-/// behavior, not just its modeled charge. Returns a value derived from
-/// the allocations so the optimizer cannot elide them.
-pub fn reenact_legacy_call(protocol: &str, method: &str) -> usize {
-    let mut footprint = 0usize;
-    for _ in 0..LEGACY_ALLOCS_PER_CALL / 2 {
-        let p = std::hint::black_box(protocol.to_owned());
-        let m = std::hint::black_box(method.to_owned());
-        footprint = footprint.wrapping_add(p.len() + m.len());
-    }
-    footprint
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn legacy_bundle_is_the_documented_sum() {
-        assert_eq!(legacy_call_ns(), 8 * 110 + 6 * 45);
-        assert_eq!(legacy_call_ns(), 1150);
-    }
 
     #[test]
     fn drain_cost_tracks_the_memcpy_model() {

@@ -45,10 +45,10 @@
 //!   order — per-connection ordering is preserved no matter how many
 //!   shards exist, and a parked duplicate on a *different* connection is
 //!   delivered by *its* connection's shard. Each sweep drains everything
-//!   already queued (when `RpcConfig::wire_batch` is on) and sends each
-//!   connection's ready responses as one gathered wire operation; the
-//!   shard also owns its connections' V3 response-lead encoders, since
-//!   sweep order *is* wire order.
+//!   already queued (up to a cap) and sends each connection's ready
+//!   responses as one gathered wire operation; the shard also owns its
+//!   connections' V3 response-lead encoders, since sweep order *is* wire
+//!   order.
 //!
 //! With `reader_shards = 1, responder_shards = 1` this degenerates to
 //! "one Reader event loop + the paper's single Responder"; the `0`/auto
@@ -143,11 +143,9 @@ struct RespRoute {
     /// The request's interned key; the responder derives the response's
     /// buffer-history key from it (`key.response_key()`).
     key: MethodKey,
-    /// The version *this route's request* arrived in — a parked duplicate
-    /// may sit on a connection speaking a different version than the
-    /// executing attempt's, so the lead is composed per route, not per
-    /// response. The responder shard owns the per-connection V3 lead
-    /// encoders.
+    /// The version *this route's request* arrived in: the responder
+    /// composes the lead per route (V1 statelessly, V3 through the
+    /// per-connection lead encoders the responder shard owns).
     version: FrameVersion,
     /// Tenant identity of the route's caller; the responder's
     /// weighted-fair sweep budgets transmissions by it.
@@ -757,12 +755,18 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                             Some(ctx) => {
                                 match RdmaConn::bootstrap(&stream, ctx, &inner2.cfg) {
                                     Ok(c) => Arc::new(c.with_metrics(inner2.metrics.clone())),
+                                    Err(RpcError::Protocol(_)) => {
+                                        // A malformed or inconsistent RPIB
+                                        // hello (magic, version, region
+                                        // geometry): refuse and count it.
+                                        inner2.metrics.inc_frame_errors();
+                                        return;
+                                    }
                                     Err(_) => return, // peer vanished mid-exchange
                                 }
                             }
                             None => Arc::new(
                                 SocketConn::new(stream, inner2.cfg.server_buffer_init)
-                                    .with_batch(inner2.cfg.wire_batch)
                                     .with_metrics(inner2.metrics.clone()),
                             ),
                         };
@@ -1068,11 +1072,10 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
         total_ns: recv.total_ns,
         size: recv.size,
     });
-    // At-most-once admission. V1 peers (and clients with caching
-    // disabled, client_id 0) skip the cache but still get the
-    // non-blocking queue admission below. The cache stores *neutral*
-    // bodies, so V2 and V3 attempts of the same logical call share one
-    // entry — each route's lead is composed in its own version.
+    // At-most-once admission. V1 peers (no client identity) skip the
+    // cache but still get the non-blocking queue admission below. The
+    // cache stores *neutral* bodies; each route's lead is composed by its
+    // own connection's responder shard.
     let cache_key: Option<CallKey> = if header.version != FrameVersion::V1 && header.client_id != 0
     {
         Some((header.client_id, header.seq))
@@ -1123,12 +1126,10 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
         admitted_at: Instant::now(),
     };
     // The shedding deadline in the server's own clock. Only V3 peers
-    // carry a budget; a zero-config server (deadline_propagation off)
-    // ignores it entirely.
-    let expires_at_ns = match (inner.cfg.deadline_propagation, header.deadline_budget) {
-        (true, Some(budget)) => Some(inner.now_ns().saturating_add(budget.as_nanos() as u64)),
-        _ => None,
-    };
+    // carry a budget.
+    let expires_at_ns = header
+        .deadline_budget
+        .map(|budget| inner.now_ns().saturating_add(budget.as_nanos() as u64));
     // Protocol-priority class: calls to a listed control protocol jump
     // their tenant's bulk backlog inside the admission queue. The
     // default empty set marks everything Bulk — ordering identical to
@@ -1371,11 +1372,6 @@ fn responder_loop(inner: Arc<ServerInner>, rx: Receiver<OutboundResponse>, stats
     // connections run the self-contained encoding.
     let mut encs: HashMap<u64, V3Encoder> = HashMap::new();
     let stateful = !inner.cfg.ib_enabled;
-    let sweep = if inner.cfg.wire_batch {
-        RESPONDER_SWEEP
-    } else {
-        1
-    };
     let fair = inner.admission.fair();
     let mut batch: Vec<OutboundResponse> = Vec::new();
     // Responses deferred by the fair partition below, in pop order; the
@@ -1402,7 +1398,7 @@ fn responder_loop(inner: Arc<ServerInner>, rx: Receiver<OutboundResponse>, stats
         }
         // Opportunistic drain: everything already queued behind the
         // blocking pop rides in this sweep (up to the cap).
-        while batch.len() < sweep {
+        while batch.len() < RESPONDER_SWEEP {
             match rx.try_recv() {
                 Ok(more) => {
                     stats.dequeued();

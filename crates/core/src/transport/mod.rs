@@ -3,7 +3,6 @@
 //! above are transport-agnostic — exactly the compatibility argument of
 //! Section III-A.
 
-pub mod crossover;
 pub mod rdma;
 pub mod socket;
 

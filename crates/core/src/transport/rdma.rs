@@ -10,7 +10,7 @@
 //!
 //! Message paths:
 //!
-//! * **eager** (≤ the crossover threshold): serialized directly into a
+//! * **eager** (≤ `rdma_threshold`): serialized directly into a
 //!   pooled registered buffer and `post_send`-ed from it; the receiver has
 //!   a ring of pre-posted pooled buffers, and deserialization reads
 //!   straight out of the one the message landed in. Zero copies beyond
@@ -27,10 +27,8 @@
 //!   instead of serializing on a one-deep handshake, while
 //!   `large_slots = 1` reproduces the paper's one-deep gate exactly.
 //!
-//! The eager/bulk switch point is the static `rdma_threshold` by default;
-//! with `adaptive_rdma_threshold` on, a per-connection
-//! [`Crossover`](crate::transport::crossover::Crossover) controller
-//! auto-tunes it from live modeled-cost samples.
+//! The eager/bulk switch point is the paper's static, tunable
+//! `rdma_threshold` (Section III-D).
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -52,7 +50,6 @@ use crate::hostcost;
 use crate::intern::MethodKey;
 use crate::metrics::{MetricsRegistry, Phase, PoolCounters};
 use crate::stream::RdmaGatherStream;
-use crate::transport::crossover::{Crossover, Route};
 use crate::transport::{Conn, RecvProfile, SendProfile};
 
 /// Immediate tag: payload is a complete frame in the posted recv buffer.
@@ -376,8 +373,6 @@ pub struct RdmaConn {
     /// Recycled storage for the gather serializer's segment list, so a
     /// steady-state bulk send allocates nothing.
     seg_scratch: Mutex<Vec<PooledBuf<MemoryRegion>>>,
-    /// Eager/bulk switch point (static, or adaptive when configured).
-    crossover: Crossover,
     closed: AtomicBool,
     peer_desc: String,
     /// When attached, every send feeds the per-`<protocol, method>`
@@ -493,11 +488,6 @@ impl RdmaConn {
             pending_credits: Mutex::new(0),
             credit_batch: (cfg.large_slots / 2).max(1),
             seg_scratch: Mutex::new(Vec::new()),
-            crossover: Crossover::new(
-                cfg.adaptive_rdma_threshold,
-                cfg.rdma_threshold,
-                cfg.recv_buf_bytes,
-            ),
             closed: AtomicBool::new(false),
             peer_desc: format!("rdma:{}", peer_ep.node),
             metrics: None,
@@ -515,12 +505,6 @@ impl RdmaConn {
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.metrics = Some(metrics);
         self
-    }
-
-    /// The live eager/bulk switch point (equals `rdma_threshold` unless
-    /// the adaptive controller has moved it).
-    pub fn crossover_threshold(&self) -> usize {
-        self.crossover.threshold()
     }
 
     fn post_one_recv(&self) {
@@ -658,15 +642,22 @@ impl RdmaConn {
         let base = start * self.my_slot_size;
         let mut hdr = [0u8; HEADER_BYTES];
         self.my_large.read_at(base, &mut hdr).map_err(verbs_err)?;
-        let len = u64::from_be_bytes(hdr) as usize;
-        if base + HEADER_BYTES + len > self.cfg.large_region_bytes {
-            return Err(self.frame_corruption(format!(
-                "bulk frame of {len} bytes at slot {start} overruns the \
+        let claimed = u64::from_be_bytes(hdr);
+        // The length is the peer's claim: converted and bounded with
+        // checked arithmetic, so a forged header near 2^64 cannot wrap
+        // the bound into a pass.
+        let len = usize::try_from(claimed).ok().filter(|&len| {
+            base.checked_add(HEADER_BYTES)
+                .and_then(|end| end.checked_add(len))
+                .is_some_and(|end| end <= self.cfg.large_region_bytes)
+        });
+        len.ok_or_else(|| {
+            self.frame_corruption(format!(
+                "bulk frame of {claimed} bytes at slot {start} overruns the \
                  {}-byte region",
                 self.cfg.large_region_bytes
-            )));
-        }
-        Ok(len)
+            ))
+        })
     }
 
     /// Post the accumulated `[vlong len][frame]…` chunk as one
@@ -712,27 +703,18 @@ impl Conn for RdmaConn {
 
         // --- Transmission. ---
         let send_start = Instant::now();
-        let fabric = self.ctx.device.fabric();
-        let node = self.ctx.device.node();
-        let modeled_before = fabric.modeled_ns(node);
-        let mut route = self.crossover.route(len);
-        if route == Route::Eager && segs.len() > 1 {
-            // Can't happen while the controller caps its threshold at the
-            // segment size; routed defensively rather than asserted.
-            route = Route::Bulk;
+        // A multi-segment frame cannot go eager; validation keeps
+        // `rdma_threshold` within one segment, so the second test is
+        // defensive rather than asserted.
+        if len <= self.cfg.rdma_threshold && segs.len() == 1 {
+            let state = self.send.lock();
+            self.qp
+                .post_send(segs[0].mem(), 0, len, IMM_SMALL)
+                .map_err(verbs_err)?;
+            drop(state);
+        } else {
+            self.send_bulk(&segs, len)?;
         }
-        match route {
-            Route::Eager => {
-                let state = self.send.lock();
-                self.qp
-                    .post_send(segs[0].mem(), 0, len, IMM_SMALL)
-                    .map_err(verbs_err)?;
-                drop(state);
-            }
-            Route::Bulk => self.send_bulk(&segs, len)?,
-        }
-        let modeled_delta = fabric.modeled_ns(node).saturating_sub(modeled_before);
-        self.crossover.record(len, route, modeled_delta);
         let send_ns = send_start.elapsed().as_nanos() as u64;
 
         // Segments return to the pool; their Vec storage is recycled.
@@ -761,10 +743,8 @@ impl Conn for RdmaConn {
         if self.closed.load(Ordering::Acquire) {
             return Err(RpcError::ConnectionClosed);
         }
-        if !self.cfg.wire_batch || frames.len() == 1 {
-            for frame in frames {
-                self.send_msg(key, &mut |out| out.write_bytes(&frame))?;
-            }
+        if let [frame] = frames.as_slice() {
+            self.send_msg(key, &mut |out| out.write_bytes(frame))?;
             return Ok(());
         }
         // Merge consecutive small frames into recv-ring-sized chunks (the
@@ -772,7 +752,7 @@ impl Conn for RdmaConn {
         // ride in a chunk flushes what's pending — order is preserved —
         // and takes the ordinary eager/bulk path by itself.
         let cap = self.cfg.recv_buf_bytes;
-        let threshold = self.crossover.threshold();
+        let threshold = self.cfg.rdma_threshold;
         let batch_start = Instant::now();
         let mut chunk: Vec<u8> = Vec::new();
         let mut in_chunk = 0usize;
@@ -1340,62 +1320,41 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_crossover_learns_that_small_frames_prefer_eager() {
-        // On the modeled ledger the bulk path pays a flat surcharge over
-        // eager (the length-header write in the doorbell chain), so for
-        // small frames — where that surcharge clears the retune margin —
-        // bulk is the wrong route. Start from a deliberately-low static
-        // threshold that sends 5 kB frames down the bulk path; probe
-        // traffic must teach the controller to raise the threshold past
-        // them. (At mid sizes the surcharge is *inside* the margin, and
-        // staying put is the correct, churn-free behaviour — that case
-        // is `static_crossover_never_moves`' territory.)
-        let cfg = RpcConfig {
-            adaptive_rdma_threshold: true,
-            rdma_threshold: 2048,
-            ..RpcConfig::rpcoib()
-        };
-        let (cli, srv) = conn_pair(&cfg);
-        let progress = progress_thread(Arc::clone(&cli));
-        let srv2 = Arc::clone(&srv);
-        let drain = thread::spawn(move || {
-            let mut got = 0usize;
-            while got < 128 {
-                match srv2.recv_msg(Duration::from_secs(5)) {
-                    Ok(_) => got += 1,
-                    Err(e) => panic!("server drain failed after {got}: {e}"),
-                }
-            }
-        });
-        assert_eq!(cli.crossover_threshold(), cfg.rdma_threshold);
-        for _ in 0..128 {
-            cli.send_msg(crate::intern::method_key("p", "small"), &mut |out| {
-                out.write_bytes(&[5u8; 5_000])
-            })
-            .unwrap();
-        }
-        drain.join().unwrap();
-        assert!(
-            cli.crossover_threshold() > 5_000,
-            "threshold stuck at {} after 128 small bulk sends",
-            cli.crossover_threshold()
-        );
-        cli.close();
-        progress.join().unwrap();
-    }
-
-    #[test]
-    fn static_crossover_never_moves() {
+    fn forged_bulk_header_length_is_a_counted_teardown() {
+        // A peer RDMA-writes a length header of 2^64 - 8 into slot 0 and
+        // announces it: `base + HEADER_BYTES + len` wraps to 0, so an
+        // unchecked bound would pass the frame on to the pool.
         let cfg = RpcConfig::rpcoib();
         let (cli, srv) = conn_pair(&cfg);
-        for _ in 0..40 {
-            cli.send_msg(crate::intern::method_key("p", "m"), &mut |out| {
-                out.write_bytes(&[5u8; 8_000])
-            })
-            .unwrap();
-            let _ = srv.recv_msg(Duration::from_secs(1)).unwrap();
+        let metrics = MetricsRegistry::new(false);
+        let srv = Arc::new(
+            Arc::try_unwrap(srv)
+                .expect("sole owner")
+                .with_metrics(metrics.clone()),
+        );
+        {
+            let state = cli.send.lock();
+            state
+                .header_mr
+                .write_at(0, &(u64::MAX - 7).to_be_bytes())
+                .unwrap();
+            let imm = IMM_LARGE | (1 << 20); // slot 0, one slot consumed
+            cli.qp
+                .rdma_write_vectored(
+                    std::iter::once((&state.header_mr, 0usize, HEADER_BYTES, 0usize)),
+                    cli.peer_rkey,
+                    Some(imm),
+                )
+                .unwrap();
         }
-        assert_eq!(cli.crossover_threshold(), cfg.rdma_threshold);
+        let err = srv.recv_msg(Duration::from_secs(1)).unwrap_err();
+        assert!(matches!(err, RpcError::Protocol(_)), "{err}");
+        assert_eq!(metrics.counters().frame_errors, 1);
+        assert_eq!(
+            srv.recv_msg(Duration::from_millis(10)).unwrap_err(),
+            RpcError::ConnectionClosed,
+            "the forged frame tears the connection down"
+        );
     }
 
     #[test]
@@ -1451,24 +1410,6 @@ mod tests {
             let mut got = vec![0u8; want.len()];
             std::io::Read::read_exact(&mut payload.reader(), &mut got).unwrap();
             assert_eq!(&got, want, "ordering drifted around the large frame");
-        }
-    }
-
-    #[test]
-    fn batching_disabled_falls_back_to_per_frame_sends() {
-        let cfg = RpcConfig {
-            wire_batch: false,
-            ..RpcConfig::rpcoib()
-        };
-        let (cli, srv) = conn_pair(&cfg);
-        let frames: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 32]).collect();
-        cli.send_frames(crate::intern::method_key("p", "m"), frames.clone())
-            .unwrap();
-        for want in &frames {
-            let (payload, _) = srv.recv_msg(Duration::from_secs(1)).unwrap();
-            let mut got = vec![0u8; want.len()];
-            std::io::Read::read_exact(&mut payload.reader(), &mut got).unwrap();
-            assert_eq!(&got, want);
         }
     }
 

@@ -11,7 +11,8 @@
 //! former user-space `BufferedOutputStream` re-copy is gone (it modeled
 //! a copy the vectored syscall never needed).
 //!
-//! **Receive (Listing 2):** read the 4-byte length, allocate a fresh
+//! **Receive (Listing 2):** read the 4-byte length, check it against
+//! [`MAX_FRAME_BYTES`], allocate a fresh
 //! heap buffer *per call* (timed — this is Figure 1's numerator), then
 //! read the body through a bounded temporary chunk, copying temp→heap —
 //! emulating the JDK's hidden direct-buffer hop for channel reads into
@@ -45,6 +46,12 @@ use crate::transport::{Conn, RecvProfile, SendProfile};
 /// (the JDK uses an 8 KB-ish temp direct buffer).
 const TEMP_CHUNK: usize = 8 * 1024;
 
+/// Largest frame a peer may announce: 64 MiB, the default of Hadoop's
+/// `ipc.maximum.data.length`. A length prefix above it is refused before
+/// any buffer is allocated, so one corrupt or hostile prefix cannot make
+/// the receiver zero-fill up to 2 GiB.
+pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
+
 /// Inline capacity for a frame's order-sensitive lead bytes. A V3 lead is
 /// 3–27 bytes unless it carries an inline method announcement, which
 /// spills to the heap once per `<protocol, method>` per connection.
@@ -63,9 +70,6 @@ pub struct SocketConn {
     /// Initial capacity of fresh serialization buffers (32 B client-side,
     /// 10 KB server-side in Hadoop).
     init_buf: usize,
-    /// When false the flusher writes one frame per gather (coalescing
-    /// off — the bench/CI control arm).
-    batch: bool,
     /// When attached, every send feeds the per-`<protocol, method>`
     /// serialize/wire phase histograms.
     metrics: Option<MetricsRegistry>,
@@ -174,7 +178,6 @@ impl SocketConn {
             }),
             closed: AtomicBool::new(false),
             init_buf,
-            batch: true,
             metrics: None,
             ready_hook: Mutex::new(None),
         }
@@ -184,14 +187,6 @@ impl SocketConn {
     /// and wire times into its phase histograms.
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.metrics = Some(metrics);
-        self
-    }
-
-    /// Enable/disable write coalescing (default on). Off, the flusher
-    /// writes exactly one frame per gathered write — same queue, same
-    /// ordering, no amortization — so the batching win is measurable.
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -361,8 +356,7 @@ impl SocketConn {
 
         st.flushing = true;
         loop {
-            let take = if self.batch { st.queue.len() } else { 1 };
-            let batch: Vec<WqEntry> = st.queue.drain(..take).collect();
+            let batch: Vec<WqEntry> = st.queue.drain(..).collect();
             drop(st);
             let result = self.write_batch(&batch);
             st = self.wq.lock();
@@ -498,10 +492,13 @@ impl Conn for SocketConn {
         self.read_exact_deadline(&mut len_buf, Some(deadline))?;
         let total_start = Instant::now();
         let len = i32::from_be_bytes(len_buf);
-        if len < 0 {
-            return Err(RpcError::Protocol(format!("negative frame length {len}")));
+        let len = usize::try_from(len)
+            .map_err(|_| RpcError::Protocol(format!("negative frame length {len}")))?;
+        if len > MAX_FRAME_BYTES {
+            return Err(RpcError::Protocol(format!(
+                "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"
+            )));
         }
-        let len = len as usize;
 
         // Listing 2 line 6: ByteBuffer.allocate(len) — a fresh, zeroed
         // heap buffer per call. This allocation is what Figure 1 measures.
@@ -679,6 +676,18 @@ mod tests {
         let (_cli2, srv2) = conn_pair();
         srv2.close();
         assert!(srv2.poll_ready(), "locally closed conn must be ready");
+    }
+
+    #[test]
+    fn oversized_length_prefix_is_refused_before_allocating() {
+        // A forged prefix one past the cap, then EOF: the frame is refused
+        // on the prefix alone, without zero-filling 64 MiB first.
+        let (cli, srv) = conn_pair();
+        let prefix = ((MAX_FRAME_BYTES + 1) as i32).to_be_bytes();
+        cli.stream.write_gather(&[&prefix]).unwrap();
+        drop(cli);
+        let err = srv.recv_msg(Duration::from_secs(1)).unwrap_err();
+        assert!(matches!(err, RpcError::Protocol(_)), "{err}");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::io::Write;
 use std::thread;
 
 use proptest::prelude::*;
-use rpcoib::handshake::{server_accept, ServerHello, MAGIC, MAX_VERSION, MIN_VERSION};
+use rpcoib::handshake::{server_accept, ServerHello, MAGIC};
 use rpcoib::RpcError;
 use simnet::{model, Fabric, SimAddr, SimListener, SimStream};
 
@@ -36,7 +36,7 @@ enum Expect {
     Io,
     /// First four bytes are not the magic: pre-handshake peer.
     Legacy,
-    /// Magic with a pre-V2 version byte.
+    /// Magic with a version byte below V3.
     BadVersion,
     /// Well-formed hello; the connection speaks this negotiated version
     /// under this id.
@@ -53,14 +53,13 @@ fn oracle(data: &[u8]) -> Expect {
     if data.len() < 13 {
         return Expect::Io;
     }
-    if data[4] < MIN_VERSION {
+    // V3 is the only version the handshake negotiates: lower offers are
+    // refused, higher ones are capped.
+    if data[4] < 3 {
         return Expect::BadVersion;
     }
     let presented = u64::from_be_bytes(data[5..13].try_into().unwrap());
-    Expect::Modern(
-        data[4].min(MAX_VERSION),
-        if presented == 0 { ASSIGNED } else { presented },
-    )
+    Expect::Modern(3, if presented == 0 { ASSIGNED } else { presented })
 }
 
 /// Run `server_accept` against a peer that writes `data` and then shuts

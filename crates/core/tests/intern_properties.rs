@@ -1,13 +1,14 @@
 //! Property tests for the method-key interner: ids must be stable (the
 //! same `<protocol, method>` pair always resolves to the same id and the
 //! same pointer), distinct pairs must never collide, and a key threaded
-//! through frame encode → decode — V2 and V1 alike — must come back as
+//! through frame encode → decode — V3 and V1 alike — must come back as
 //! the *identical* interned key with its strings intact.
 
 use proptest::prelude::*;
-use rpcoib::frame::{read_request_header, write_request, write_request_v1, FrameVersion};
+use rpcoib::frame::{read_request_header, write_request_v1, FrameVersion};
 use rpcoib::intern;
-use wire::{DataOutputBuffer, IntWritable};
+use rpcoib::{V3Decoder, V3Encoder};
+use wire::{DataOutputBuffer, IntWritable, Writable};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -43,11 +44,12 @@ proptest! {
         prop_assert_eq!(k1 == k2, p1 == p2 && m1 == m2);
     }
 
-    /// V2 frame round-trip: the decoded header carries the identical
-    /// interned key (not merely an equal string pair) and every scalar
-    /// field survives.
+    /// Self-contained V3 frame round-trip (the verbs encoding, with the
+    /// method strings inline in every frame): the decoded header carries
+    /// the identical interned key (not merely an equal string pair) and
+    /// every scalar field survives.
     #[test]
-    fn v2_frames_roundtrip_interned_keys(
+    fn v3_self_contained_frames_roundtrip_interned_keys(
         protocol in "\\PC*",
         method in "\\PC*",
         client_id in any::<u64>(),
@@ -55,20 +57,17 @@ proptest! {
         retry_attempt in 0u32..1024,
         value in any::<i32>(),
     ) {
+        let key = intern::method_key(&protocol, &method);
         let mut buf = DataOutputBuffer::with_capacity(64);
-        write_request(
-            &mut buf,
-            client_id,
-            seq,
-            retry_attempt,
-            &protocol,
-            &method,
-            &IntWritable(value),
-        )
-        .unwrap();
+        V3Encoder::new(false)
+            .write_request_header(&mut buf, seq, retry_attempt, None, key)
+            .unwrap();
+        IntWritable(value).write(&mut buf).unwrap();
         let mut input: &[u8] = buf.data();
-        let header = read_request_header(&mut input).unwrap();
-        prop_assert_eq!(header.version, FrameVersion::V2);
+        let header = V3Decoder::new(false)
+            .read_request_header(&mut input, client_id)
+            .unwrap();
+        prop_assert_eq!(header.version, FrameVersion::V3);
         prop_assert_eq!(header.client_id, client_id);
         prop_assert_eq!(header.seq, seq);
         prop_assert_eq!(header.retry_attempt, retry_attempt);
@@ -77,7 +76,7 @@ proptest! {
         prop_assert_eq!(header.method(), method.as_str());
     }
 
-    /// V1 (legacy) frames resolve to the same interned key a V2 frame
+    /// V1 (legacy) frames resolve to the same interned key a V3 frame
     /// for the pair does: the wire compatibility path shares the table.
     #[test]
     fn v1_frames_resolve_to_the_same_keys(
@@ -86,8 +85,8 @@ proptest! {
         call_id in any::<i32>(),
         value in any::<i32>(),
     ) {
-        // V1 call ids are non-negative in practice; a negative lead is
-        // how V2's sentinel is recognized, so clamp into the V1 space.
+        // V1 call ids are non-negative; a negative lead is rejected as
+        // garbage, so clamp into the V1 space.
         let call_id = call_id & i32::MAX;
         let mut buf = DataOutputBuffer::with_capacity(64);
         write_request_v1(&mut buf, call_id, &protocol, &method, &IntWritable(value)).unwrap();
@@ -106,9 +105,13 @@ fn oversized_names_spill_and_still_intern() {
     let protocol = "p".repeat(4000);
     let method = "m".repeat(500);
     let mut buf = DataOutputBuffer::with_capacity(64);
-    write_request(&mut buf, 7, 1, 0, &protocol, &method, &IntWritable(9)).unwrap();
+    V3Encoder::new(false)
+        .write_request_header(&mut buf, 1, 0, None, intern::method_key(&protocol, &method))
+        .unwrap();
     let mut input: &[u8] = buf.data();
-    let header = read_request_header(&mut input).unwrap();
+    let header = V3Decoder::new(false)
+        .read_request_header(&mut input, 7)
+        .unwrap();
     assert_eq!(header.key, intern::method_key(&protocol, &method));
     assert_eq!(header.protocol(), protocol);
 }

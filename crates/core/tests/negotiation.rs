@@ -1,8 +1,8 @@
-//! The version-negotiation matrix, over the wire: clients capped at each
-//! supported frame version, on both transports, must land on exactly the
-//! expected negotiated version and complete real calls under it — and a
-//! pre-handshake (V1) peer arriving *mid-stream*, while modern
-//! connections are active, must be served without perturbing them.
+//! The version-negotiation matrix, over the wire: on both transports a
+//! hello offering a version below V3 is refused and counted, while a
+//! client lands on V3 and completes real calls under it — and a
+//! pre-handshake (V1) peer, interleaved with or arriving *mid-stream*
+//! beside modern connections, must be served without perturbing them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,11 +54,44 @@ fn echo(client: &Client, server: &Server, v: i64) -> i64 {
         .0
 }
 
-/// Every `(transport, client max version)` cell: the negotiated version
-/// is exactly the client's cap (the server always offers its maximum),
-/// and calls round-trip under it.
+/// One V1 request from a raw, pre-handshake peer: write the
+/// length-prefixed frame, read the length-prefixed V1 answer, and return
+/// the echoed value after checking the header.
+fn v1_echo(stream: &simnet::SimStream, call_id: i32, v: i64) -> i64 {
+    use rpcoib::frame::{self, FrameVersion, ResponseStatus};
+    use std::io::Write;
+
+    let mut body: Vec<u8> = Vec::new();
+    frame::write_request_v1(&mut body, call_id, "nego.Echo", "echo", &LongWritable(v)).unwrap();
+    let mut framed = (body.len() as i32).to_be_bytes().to_vec();
+    framed.extend_from_slice(&body);
+    (&*stream).write_all(&framed).unwrap();
+    let mut len = [0u8; 4];
+    stream.read_exact_at(&mut len).unwrap();
+    let mut resp = vec![0u8; i32::from_be_bytes(len) as usize];
+    stream.read_exact_at(&mut resp).unwrap();
+    let mut input = resp.as_slice();
+    let header = frame::read_response_header(&mut input).unwrap();
+    assert_eq!(header.version, FrameVersion::V1);
+    assert_eq!(
+        header.seq,
+        i64::from(call_id),
+        "V1 response echoes the call id"
+    );
+    assert_eq!(header.status, ResponseStatus::Ok);
+    let mut value = LongWritable::default();
+    value.read_fields(&mut input).unwrap();
+    value.0
+}
+
+/// Both transports: a hello offering version 2 is refused — no ack,
+/// connection dropped — and counted in `frame_errors`; a client then
+/// negotiates V3 and calls round-trip under it.
 #[test]
 fn version_matrix_negotiates_and_serves() {
+    use rpcoib::handshake::MAGIC;
+    use std::io::Write;
+
     for ib in [false, true] {
         let fabric = Fabric::new(if ib {
             model::IB_QDR_VERBS
@@ -71,30 +104,38 @@ fn version_matrix_negotiates_and_serves() {
             RpcConfig::socket()
         };
         let (server, calls) = start(&fabric, &base);
-        for client_max in [2u8, 3u8] {
-            let cfg = RpcConfig {
-                max_wire_version: client_max,
-                ..base.clone()
-            };
-            let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
-            for i in 0..8 {
-                assert_eq!(echo(&client, &server, i), i, "ib={ib} max={client_max}");
-            }
-            assert_eq!(
-                client.negotiated_version(server.addr()),
-                Some(client_max),
-                "ib={ib}: server must ack exactly the client's cap"
-            );
-            client.shutdown();
+
+        let v2 = simnet::SimStream::connect(&fabric, fabric.add_node(), server.addr()).unwrap();
+        let mut hello = [0u8; 13];
+        hello[..4].copy_from_slice(&MAGIC.to_be_bytes());
+        hello[4] = 2;
+        hello[5..].copy_from_slice(&0xfeedu64.to_be_bytes());
+        (&v2).write_all(&hello).unwrap();
+        let mut ack = [0u8; 9];
+        assert!(
+            v2.read_exact_at(&mut ack).is_err(),
+            "ib={ib}: a V2 hello must get no ack"
+        );
+        assert_eq!(
+            server.metrics().counters().frame_errors,
+            1,
+            "ib={ib}: the refused hello is counted"
+        );
+
+        let client = Client::new(&fabric, fabric.add_node(), base.clone()).unwrap();
+        for i in 0..8 {
+            assert_eq!(echo(&client, &server, i), i, "ib={ib}");
         }
-        assert_eq!(calls.load(Ordering::Acquire), 16);
+        assert_eq!(client.negotiated_version(server.addr()), Some(3), "ib={ib}");
+        client.shutdown();
+        assert_eq!(calls.load(Ordering::Acquire), 8);
         server.stop();
     }
 }
 
-/// V2-capped and V3 clients of the *same* server, interleaved: each
-/// connection frames in its own negotiated version and neither corrupts
-/// the other's state (the server keeps per-connection codecs).
+/// A raw V1 peer and a V3 client of the *same* server, interleaved: each
+/// connection frames in its own version and neither corrupts the other's
+/// state (the server keeps per-connection codecs).
 #[test]
 fn mixed_version_clients_interleave() {
     let fabric = Fabric::new(model::IPOIB_QDR);
@@ -102,26 +143,22 @@ fn mixed_version_clients_interleave() {
     let (server, calls) = start(&fabric, &base);
 
     let v3 = Client::new(&fabric, fabric.add_node(), base.clone()).unwrap();
-    let v2 = Client::new(
-        &fabric,
-        fabric.add_node(),
-        RpcConfig {
-            max_wire_version: 2,
-            ..base.clone()
-        },
-    )
-    .unwrap();
+    let v1 = simnet::SimStream::connect(&fabric, fabric.add_node(), server.addr()).unwrap();
 
     for i in 0..20 {
-        let (a, b) = if i % 2 == 0 { (&v3, &v2) } else { (&v2, &v3) };
-        assert_eq!(echo(a, &server, i), i);
-        assert_eq!(echo(b, &server, 100 + i), 100 + i);
+        if i % 2 == 0 {
+            assert_eq!(echo(&v3, &server, i), i);
+            assert_eq!(v1_echo(&v1, i as i32, 100 + i), 100 + i);
+        } else {
+            assert_eq!(v1_echo(&v1, i as i32, 100 + i), 100 + i);
+            assert_eq!(echo(&v3, &server, i), i);
+        }
     }
     assert_eq!(v3.negotiated_version(server.addr()), Some(3));
-    assert_eq!(v2.negotiated_version(server.addr()), Some(2));
     assert_eq!(calls.load(Ordering::Acquire), 40);
+    assert_eq!(server.metrics().counters().frame_errors, 0);
     v3.shutdown();
-    v2.shutdown();
+    drop(v1);
     server.stop();
 }
 
@@ -131,9 +168,6 @@ fn mixed_version_clients_interleave() {
 /// delta/table state across frames — continues unperturbed afterwards.
 #[test]
 fn legacy_peer_mid_stream_leaves_v3_connections_intact() {
-    use rpcoib::frame::{self, FrameVersion, ResponseStatus};
-    use std::io::Write;
-
     let fabric = Fabric::new(model::IPOIB_QDR);
     let base = RpcConfig::socket();
     let (server, _calls) = start(&fabric, &base);
@@ -146,23 +180,7 @@ fn legacy_peer_mid_stream_leaves_v3_connections_intact() {
 
     // Mid-stream: the legacy peer, straight to V1 frames.
     let stream = simnet::SimStream::connect(&fabric, fabric.add_node(), server.addr()).unwrap();
-    let mut body: Vec<u8> = Vec::new();
-    frame::write_request_v1(&mut body, 42, "nego.Echo", "echo", &LongWritable(7)).unwrap();
-    let mut framed = (body.len() as i32).to_be_bytes().to_vec();
-    framed.extend_from_slice(&body);
-    (&stream).write_all(&framed).unwrap();
-    let mut len = [0u8; 4];
-    stream.read_exact_at(&mut len).unwrap();
-    let mut resp = vec![0u8; i32::from_be_bytes(len) as usize];
-    stream.read_exact_at(&mut resp).unwrap();
-    let mut input = resp.as_slice();
-    let header = frame::read_response_header(&mut input).unwrap();
-    assert_eq!(header.version, FrameVersion::V1);
-    assert_eq!(header.seq, 42);
-    assert_eq!(header.status, ResponseStatus::Ok);
-    let mut value = LongWritable::default();
-    value.read_fields(&mut input).unwrap();
-    assert_eq!(value.0, 7);
+    assert_eq!(v1_echo(&stream, 42, 7), 7);
 
     // The V3 connection's stateful codec picks up exactly where it was.
     for i in 5..10 {

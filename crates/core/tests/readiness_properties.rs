@@ -132,12 +132,8 @@ fn harness(rdma: bool, n_conns: usize, seed: u64) -> Harness {
             ));
             cli.push(Some(Arc::new(h.join().unwrap())));
         } else {
-            cli.push(Some(Arc::new(
-                SocketConn::new(cli_stream, 4096).with_batch(cfg.wire_batch),
-            )));
-            srv.push(Arc::new(
-                SocketConn::new(srv_stream, 4096).with_batch(cfg.wire_batch),
-            ));
+            cli.push(Some(Arc::new(SocketConn::new(cli_stream, 4096))));
+            srv.push(Arc::new(SocketConn::new(srv_stream, 4096)));
         }
     }
     Harness {

@@ -22,14 +22,9 @@ use wire::{BytesWritable, DataInput, LongWritable, Text, Writable};
 /// Fabric + matching config for the transport selected by
 /// `RPC_TRANSPORT` (CI runs the suite under both values), with the
 /// server pipeline shape from `RPC_SHARDS` (pins both reader and
-/// responder shard counts; unset or 0 keeps the config defaults) and
-/// wire batching toggled by `RPC_BATCH` (`off` disables client gather
-/// coalescing and responder sweep batching), and the adaptive eager/bulk
-/// crossover toggled by `RPC_ADAPTIVE` (`on` lets each verbs connection
-/// retune its `rdma_threshold` from live cost samples; a no-op on the
-/// socket transport). CI's resilience matrix crosses these variables,
-/// so every scenario here runs single-sharded *and* at 4×4, batched
-/// *and* per-frame, static *and* adaptive.
+/// responder shard counts; unset or 0 keeps the config defaults). CI's
+/// resilience matrix crosses these variables, so every scenario here
+/// runs single-sharded *and* at 4×4.
 fn env_transport() -> (Fabric, RpcConfig) {
     let (fabric, mut cfg) = if std::env::var("RPC_TRANSPORT").as_deref() == Ok("verbs") {
         (Fabric::new(model::IB_QDR_VERBS), RpcConfig::rpcoib())
@@ -43,12 +38,6 @@ fn env_transport() -> (Fabric, RpcConfig) {
     {
         cfg.reader_shards = n;
         cfg.responder_shards = n;
-    }
-    if std::env::var("RPC_BATCH").as_deref() == Ok("off") {
-        cfg.wire_batch = false;
-    }
-    if std::env::var("RPC_ADAPTIVE").as_deref() == Ok("on") {
-        cfg.adaptive_rdma_threshold = true;
     }
     (fabric, cfg)
 }
@@ -414,6 +403,75 @@ fn corrupt_frame_drops_connection_and_counts() {
     );
     ping(&good_client, &server).unwrap();
     good_client.shutdown();
+    server.stop();
+}
+
+/// Poll until the server's `frame_errors` counter reaches `want`.
+fn wait_frame_errors(server: &Server, want: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.metrics().counters().frame_errors < want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// A raw peer announcing a frame one byte past the socket transport's
+/// 64 MiB cap is refused on the length prefix alone: the error is
+/// counted, its connection closes, and other clients are still served.
+#[test]
+fn oversized_length_prefix_is_counted_and_closes_only_that_peer() {
+    use rpcoib::transport::socket::MAX_FRAME_BYTES;
+    use std::io::Write;
+
+    let _wd = watchdog("oversized_prefix", Duration::from_secs(60));
+    let fabric = Fabric::new(model::IPOIB_QDR);
+    let server_node = fabric.add_node();
+    let cfg = RpcConfig::socket();
+    let server = start_server(&fabric, server_node, &cfg);
+
+    let rogue = SimStream::connect(&fabric, fabric.add_node(), server.addr()).unwrap();
+    (&rogue)
+        .write_all(&((MAX_FRAME_BYTES + 1) as i32).to_be_bytes())
+        .unwrap();
+    wait_frame_errors(&server, 1);
+    assert_eq!(server.metrics().counters().frame_errors, 1);
+    wait_connection_count(&server, 0, Duration::from_secs(5), "oversized prefix");
+
+    let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
+    ping(&client, &server).unwrap();
+    assert_eq!(server.metrics().counters().frame_errors, 1);
+    client.shutdown();
+    drop(rogue);
+    server.stop();
+}
+
+/// A peer that completes the connect handshake and then sends an RPCoIB
+/// bootstrap hello with a bad magic is refused and counted in
+/// `frame_errors`, exactly once; the server keeps serving.
+#[test]
+fn malformed_bootstrap_hello_is_counted() {
+    use std::io::Write;
+
+    let _wd = watchdog("bootstrap_hello", Duration::from_secs(60));
+    let fabric = Fabric::new(model::IB_QDR_VERBS);
+    let server_node = fabric.add_node();
+    let cfg = RpcConfig::rpcoib();
+    let server = start_server(&fabric, server_node, &cfg);
+
+    let rogue = SimStream::connect(&fabric, fabric.add_node(), server.addr()).unwrap();
+    client_hello(&rogue, 0).unwrap();
+    (&rogue).write_all(&[0xEE; 48]).unwrap();
+    wait_frame_errors(&server, 1);
+    assert_eq!(server.metrics().counters().frame_errors, 1);
+
+    let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
+    ping(&client, &server).unwrap();
+    assert_eq!(
+        server.metrics().counters().frame_errors,
+        1,
+        "one bad hello, one count"
+    );
+    client.shutdown();
+    drop(rogue);
     server.stop();
 }
 
@@ -981,69 +1039,62 @@ fn legacy_v1_peer_is_served_without_handshake() {
 /// peer pipelines 8 requests; with a single handler thread, completion
 /// order equals request order, and the batched responder sweep — which
 /// may drain several ready responses into one gathered send — must put
-/// them on the wire in exactly that order. Runs with batching on and
-/// off so a regression in either arm is pinned to the sweep logic.
+/// them on the wire in exactly that order.
 #[test]
 fn pipelined_responses_stay_in_request_order_under_batching() {
     use rpcoib::frame::{self, ResponseStatus};
     use std::io::Write;
 
     let _wd = watchdog("pipelined_order", Duration::from_secs(60));
-    for wire_batch in [true, false] {
-        let fabric = Fabric::new(model::IPOIB_QDR);
-        let server_node = fabric.add_node();
-        let cfg = RpcConfig {
-            handlers: 1,
-            wire_batch,
-            ..RpcConfig::socket()
-        };
-        let (server, applied) = start_counter_server(&fabric, server_node, &cfg, Duration::ZERO);
+    let fabric = Fabric::new(model::IPOIB_QDR);
+    let server_node = fabric.add_node();
+    let cfg = RpcConfig {
+        handlers: 1,
+        ..RpcConfig::socket()
+    };
+    let (server, applied) = start_counter_server(&fabric, server_node, &cfg, Duration::ZERO);
 
-        let stream = simnet::SimStream::connect(&fabric, fabric.add_node(), server.addr()).unwrap();
-        const PIPELINED: i32 = 8;
-        // All 8 requests hit the wire before any response is read: the
-        // responder's ready queue actually fills, so a batched sweep
-        // really does gather several responses per send.
-        let mut burst: Vec<u8> = Vec::new();
-        for seq in 0..PIPELINED {
-            let mut body: Vec<u8> = Vec::new();
-            frame::write_request_v1(
-                &mut body,
-                seq,
-                "test.CounterProtocol",
-                "incr",
-                &LongWritable(1),
-            )
-            .unwrap();
-            burst.extend_from_slice(&(body.len() as i32).to_be_bytes());
-            burst.extend_from_slice(&body);
-        }
-        (&stream).write_all(&burst).unwrap();
-
-        for seq in 0..PIPELINED {
-            let mut len = [0u8; 4];
-            stream.read_exact_at(&mut len).unwrap();
-            let mut resp = vec![0u8; i32::from_be_bytes(len) as usize];
-            stream.read_exact_at(&mut resp).unwrap();
-            let mut input = resp.as_slice();
-            let header = frame::read_response_header(&mut input).unwrap();
-            assert_eq!(
-                header.seq, seq as i64,
-                "batch={wire_batch}: response #{seq} out of order"
-            );
-            assert_eq!(header.status, ResponseStatus::Ok);
-            let mut value = LongWritable::default();
-            value.read_fields(&mut input).unwrap();
-            assert_eq!(
-                value.0,
-                (seq + 1) as i64,
-                "batch={wire_batch}: single-handler completion order broken"
-            );
-        }
-        assert_eq!(applied.load(Ordering::Acquire), PIPELINED as u64);
-        drop(stream);
-        server.stop();
+    let stream = simnet::SimStream::connect(&fabric, fabric.add_node(), server.addr()).unwrap();
+    const PIPELINED: i32 = 8;
+    // All 8 requests hit the wire before any response is read: the
+    // responder's ready queue actually fills, so a batched sweep really
+    // does gather several responses per send.
+    let mut burst: Vec<u8> = Vec::new();
+    for seq in 0..PIPELINED {
+        let mut body: Vec<u8> = Vec::new();
+        frame::write_request_v1(
+            &mut body,
+            seq,
+            "test.CounterProtocol",
+            "incr",
+            &LongWritable(1),
+        )
+        .unwrap();
+        burst.extend_from_slice(&(body.len() as i32).to_be_bytes());
+        burst.extend_from_slice(&body);
     }
+    (&stream).write_all(&burst).unwrap();
+
+    for seq in 0..PIPELINED {
+        let mut len = [0u8; 4];
+        stream.read_exact_at(&mut len).unwrap();
+        let mut resp = vec![0u8; i32::from_be_bytes(len) as usize];
+        stream.read_exact_at(&mut resp).unwrap();
+        let mut input = resp.as_slice();
+        let header = frame::read_response_header(&mut input).unwrap();
+        assert_eq!(header.seq, seq as i64, "response #{seq} out of order");
+        assert_eq!(header.status, ResponseStatus::Ok);
+        let mut value = LongWritable::default();
+        value.read_fields(&mut input).unwrap();
+        assert_eq!(
+            value.0,
+            (seq + 1) as i64,
+            "single-handler completion order broken"
+        );
+    }
+    assert_eq!(applied.load(Ordering::Acquire), PIPELINED as u64);
+    drop(stream);
+    server.stop();
 }
 
 /// The handshake's assign-on-zero path: a client that presents id 0 is
@@ -1258,10 +1309,6 @@ fn retry_cache_ttl_expiry_reexecutes_instead_of_replaying_stale() {
 /// * concurrent callers multiplexed on one connection always get *their
 ///   own* response back — the per-connection responder routing never
 ///   lets two shards interleave writes on a single connection.
-///
-/// All three invariants must hold whether the responder sweeps one
-/// response per send or gathers a whole batch: this runs under the
-/// `RPC_BATCH` environment toggle, so CI exercises both arms.
 #[test]
 fn cross_shard_ordering_and_at_most_once() {
     let _wd = watchdog("cross_shard", Duration::from_secs(120));
@@ -1417,7 +1464,7 @@ fn park_conn(
     ctx: Option<&IbContext>,
 ) -> Result<ParkedConn, RpcError> {
     let stream = SimStream::connect(fabric, node, addr).map_err(|e| RpcError::Io(e.to_string()))?;
-    client_hello(&stream, 0, 3)?;
+    client_hello(&stream, 0)?;
     let conn = match ctx {
         Some(ctx) => Some(RdmaConn::bootstrap(&stream, ctx, cfg)?),
         None => None,

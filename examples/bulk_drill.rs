@@ -5,7 +5,7 @@
 //! ```
 //!
 //! A blob service echoes multi-hundred-KiB payloads, so every call
-//! crosses the RDMA crossover in both directions: the request rides the
+//! crosses the eager/RDMA threshold in both directions: the request rides the
 //! client's slot ring into the server's large region, the response rides
 //! back the other way. The drill checks the two properties the design
 //! promises for lone transfers:

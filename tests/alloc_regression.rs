@@ -8,10 +8,8 @@
 //! warmup phase fills the buffer pools, the call-slot freelist, and the
 //! pending-table shard capacity, the RPCoIB (verbs) hot path must make
 //! **zero** allocations per call, and the sockets baseline must stay
-//! under its small historical bound. A third test flips
-//! `legacy_metadata` on and checks the re-enacted pre-interning
-//! metadata path allocates again — proving the counter actually sees
-//! what the ablation claims to restore.
+//! under its small historical bound — and above zero, which proves the
+//! counter actually sees the allocations it is meant to catch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -231,22 +229,5 @@ fn socket_steady_state_call_allocates_within_bound() {
     assert!(
         per_call <= 8,
         "socket steady-state call regressed past its bound (got {per_call}/call)"
-    );
-}
-
-/// The `legacy_metadata` ablation re-enacts the pre-interning per-call
-/// metadata churn; the counter must see those allocations come back.
-#[test]
-#[ignore = "tier-2: allocator-sensitive, run with --ignored"]
-fn legacy_metadata_mode_restores_per_call_allocations() {
-    let fabric = Fabric::new(model::IB_QDR_VERBS);
-    let cfg = RpcConfig {
-        legacy_metadata: true,
-        ..RpcConfig::rpcoib()
-    };
-    let per_call = measure_per_call(&fabric, cfg);
-    assert!(
-        per_call >= 8,
-        "legacy mode must re-enact the historical metadata allocations (got {per_call}/call)"
     );
 }

@@ -107,7 +107,7 @@ fn run_population(rdma: bool, idle_n: usize) -> Population {
     };
     for _ in 0..idle_n {
         let stream = SimStream::connect(&fabric, idle_node, addr).unwrap();
-        client_hello(&stream, 0, 3).unwrap();
+        client_hello(&stream, 0).unwrap();
         match &mut idle {
             IdleConns::Socket(v) => v.push(stream),
             IdleConns::Verbs(v) => {
